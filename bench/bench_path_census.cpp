@@ -137,7 +137,8 @@ int main() {
     calibration_plan.campaign.window = 16;
     calibration_plan.passes = 2;
     core::CensusRunner calibration_runner(std::move(calibration_plan));
-    const core::Measurement calibration = calibration_runner.run_passes();
+    const core::Measurement calibration = calibration_runner.measure_passes(
+        calibration_runner.plan().name, calibration_runner.plan().targets);
     // The default admission threshold (min_occurrences = 20) is sized for
     // the full-scale experiment world; a bench-sized world has only a few
     // hundred labeled records, so admit any signature three labeled routers

@@ -57,14 +57,12 @@ int main(int argc, char** argv) {
     // one transport per vantage here and the runner would partition the
     // target list across them.
     core::CensusPlan plan;
-    plan.name = "live";
-    plan.targets = targets;
     plan.vantages = {&transport};
     plan.campaign.window = 32;
     plan.campaign.response_timeout = options.timeout;
     plan.worker_threads = 0;  // one feature-extraction shard per core
     core::CensusRunner runner(std::move(plan));
-    auto measurement = runner.run();
+    auto measurement = runner.measure_passes("live", targets, {}, 1);
 
     util::TablePrinter table("LFP live probe results");
     table.header({"target", "protocols", "SNMPv3 vendor", "signature"});

@@ -161,8 +161,9 @@ PathCensusResult PathCensus::run(core::CensusRunner& runner,
     result.discovery = discover();
 
     const std::vector<std::vector<net::IPv4Address>> paths = result.discovery.hop_lists();
-    result.measurement =
-        runner.measure_paths("path-census", paths, result.discovery.trace_source);
+    core::CollectingSink collect("path-census");
+    runner.stream_paths(paths, result.discovery.trace_source, 0, collect);
+    result.measurement = collect.take();
     result.targets = runner.last_path_targets();
     result.pass_stats = runner.last_pass_stats();
 

@@ -7,10 +7,14 @@
 #include <cstdlib>
 #include <exception>
 #include <filesystem>
+#include <functional>
+#include <iterator>
 #include <memory>
+#include <numeric>
 #include <stdexcept>
 #include <string_view>
 #include <thread>
+#include <type_traits>
 #include <unordered_map>
 
 #include "core/checkpoint.hpp"
@@ -112,76 +116,161 @@ void assemble_record(TargetRecord& record, probe::TargetProbeResult&& probed,
     record.snmp_vendor = snmp_vendor_label(record.probes);
 }
 
-/// The multi-pass merge rule: a retry replaces the incumbent only when it
-/// is >= on *every* evidence axis — each protocol's answered rounds and
-/// the SNMP discovery answer — and strictly better on at least one. The
-/// axes are deliberately not traded against each other: a retry that
-/// gained a TCP round but lost an ICMP round (or the SNMP answer) would
-/// erase evidence the census already holds — a weaker feature row, a
-/// dropped ground-truth vendor label — so incomparable outcomes keep the
-/// incumbent. A retry can never degrade the census on any dimension, and
-/// equal evidence keeps the earliest pass (stable provenance). Note a
-/// fully-answered retry dominates every incumbent, so the rule never
-/// blocks a partial-to-full conversion — it only refuses sideways trades.
-bool merge_improves(const TargetRecord& candidate, const TargetRecord& incumbent) {
-    // Implemented via the 10-bit mask form so the in-memory and spilled
-    // merge paths can never disagree: both reduce to the same arithmetic
-    // over which exchanges answered.
-    return mask_merge_improves(probe_response_mask(candidate.probes),
-                               probe_response_mask(incumbent.probes));
-}
-
-/// Retry-pass consumer: merges each re-probed record into the pass-0 record
-/// vector (global index g lives at position g - index_base), replacing the
-/// incumbent wholesale when the retry measured strictly more and stamping
-/// the winning pass as provenance.
-class MergeSink final : public RecordSink {
+/// The in-memory incumbent store of the multi-pass loop: every target's
+/// current best record held whole, packet bytes included. SpillSink is the
+/// other store — same four operations (accept pass-0 records in stream
+/// order, response_mask, replace, drain), incumbents on disk.
+class RamStore final : public RecordSink {
   public:
-    MergeSink(std::vector<TargetRecord>& records, std::uint64_t index_base,
-              std::uint16_t pass)
-        : records_(&records), index_base_(index_base), pass_(pass) {}
+    RamStore(std::uint64_t index_base, std::size_t size) : index_base_(index_base) {
+        records_.reserve(size);
+    }
+
+    void accept(std::uint64_t, TargetRecord&& record) override {
+        records_.push_back(std::move(record));
+    }
+
+    [[nodiscard]] std::uint16_t response_mask(std::uint64_t global_index) const {
+        return probe_response_mask(records_[position(global_index)].probes);
+    }
+
+    void replace(std::uint64_t global_index, TargetRecord&& record) {
+        records_[position(global_index)] = std::move(record);
+    }
+
+    void drain(RecordSink& sink) {
+        for (std::size_t i = 0; i < records_.size(); ++i) {
+            sink.accept(index_base_ + i, std::move(records_[i]));
+        }
+    }
+
+  private:
+    [[nodiscard]] std::size_t position(std::uint64_t global_index) const {
+        return static_cast<std::size_t>(global_index - index_base_);
+    }
+
+    std::uint64_t index_base_;
+    std::vector<TargetRecord> records_;
+};
+
+/// Retry-pass consumer: replaces the stored incumbent wholesale when the
+/// retry measured strictly more (mask_merge_improves — >= on every evidence
+/// axis, strictly better on one, so a retry never trades evidence away and
+/// equal evidence keeps the earliest pass), stamping the winning pass as
+/// provenance. Decided from the stored response mask alone, so a spilled
+/// incumbent is never read back.
+template <class Store>
+class UpgradeSink final : public RecordSink {
+  public:
+    UpgradeSink(Store& store, std::uint16_t pass) : store_(&store), pass_(pass) {}
 
     void accept(std::uint64_t global_index, TargetRecord&& record) override {
-        TargetRecord& incumbent = (*records_)[global_index - index_base_];
-        if (merge_improves(record, incumbent)) {
-            record.pass = pass_;
-            incumbent = std::move(record);
-            ++upgraded_;
+        if (!mask_merge_improves(probe_response_mask(record.probes),
+                                 store_->response_mask(global_index))) {
+            return;
         }
+        record.pass = pass_;
+        store_->replace(global_index, std::move(record));
+        ++upgraded_;
     }
 
     [[nodiscard]] std::uint64_t upgraded() const noexcept { return upgraded_; }
 
   private:
-    std::vector<TargetRecord>* records_;
-    std::uint64_t index_base_;
+    Store* store_;
     std::uint16_t pass_;
     std::uint64_t upgraded_ = 0;
 };
 
-/// Retry-pass consumer for the spill path: the incumbent lives on disk, so
-/// improvement is decided from the RAM response-mask index alone (the same
-/// arithmetic merge_improves uses) and an upgrade is one fixed-width
-/// in-place segment write — the incumbent record is never read back.
-class SpillMergeSink final : public RecordSink {
+/// The crash-resume journal of a checkpointed spilled census (see
+/// core/checkpoint.hpp): the spill segments live in the checkpoint
+/// directory, and a manifest next to them is rewritten at every pass
+/// boundary. Default-constructed — the RAM store, or no checkpoint
+/// directory configured — it is disabled and every call is a no-op.
+class Journal {
   public:
-    SpillMergeSink(SpillSink& spill, std::uint16_t pass) : spill_(&spill), pass_(pass) {}
+    Journal() = default;
+    Journal(SpillSink& spill, std::uint64_t target_count, const SpillConfig& config)
+        : spill_(&spill), target_count_(target_count), config_(config) {}
 
-    void accept(std::uint64_t global_index, TargetRecord&& record) override {
-        const std::uint16_t candidate = probe_response_mask(record.probes);
-        if (mask_merge_improves(candidate, spill_->response_mask(global_index))) {
-            record.pass = pass_;
-            spill_->replace(global_index, CompactRecord::from_record(record));
-            ++upgraded_;
+    /// Resume detection: a manifest describing this exact census shape
+    /// (base, target count, segment geometry, a completed-pass count this
+    /// run could have produced) whose segments adopt cleanly means an
+    /// earlier process was killed here. Adopts the on-disk incumbents,
+    /// installs the journaled pass stats and returns the completed pass
+    /// count; 0 means start from scratch (also for any damaged manifest or
+    /// segment — SpillSink::adopt() checks every segment's header and size).
+    std::size_t resume(std::size_t passes, std::vector<PassStats>& stats) {
+        if (spill_ == nullptr) return 0;
+        auto manifest = read_manifest(spill_->directory());
+        if (!manifest.has_value() || manifest->index_base != spill_->index_base() ||
+            manifest->target_count != target_count_ ||
+            manifest->segment_records != config_.segment_records ||
+            manifest->completed_passes > passes) {
+            return 0;
+        }
+        std::vector<SpillSink::SegmentInfo> segments;
+        segments.reserve(manifest->segments.size());
+        for (const auto& [name, records] : manifest->segments) {
+            segments.push_back({spill_->directory() / name, records});
+        }
+        if (!spill_->adopt(std::move(segments), std::move(manifest->masks))) return 0;
+        stats = std::move(manifest->pass_stats);
+        retry_lists_ = std::move(manifest->retry_lists);
+        resumed_ = true;
+        return manifest->completed_passes;
+    }
+
+    /// The retry subset completed pass `pass` (>= 1) probed — the replay
+    /// script a resume feeds back through stateful transports.
+    [[nodiscard]] std::span<const std::uint64_t> retry_list(std::size_t pass) const {
+        return retry_lists_[pass - 1];
+    }
+
+    /// Journals the census as of the pass that just completed (stats holds
+    /// one entry per completed pass; `probed` is the subset a retry pass
+    /// re-probed). flush() first: after it every accepted record is on disk
+    /// and the segment list describes the census completely. The manifest
+    /// itself is written atomically (tmp + rename), so a kill at any
+    /// instant leaves either the previous checkpoint or this one.
+    void record(const std::vector<PassStats>& stats, std::span<const std::uint64_t> probed) {
+        if (spill_ == nullptr) return;
+        if (stats.size() > 1) retry_lists_.emplace_back(probed.begin(), probed.end());
+        spill_->flush();
+        CensusManifest manifest;
+        manifest.index_base = spill_->index_base();
+        manifest.target_count = target_count_;
+        manifest.segment_records = config_.segment_records;
+        manifest.completed_passes = static_cast<std::uint32_t>(stats.size());
+        for (const SpillSink::SegmentInfo& info : spill_->segment_manifest()) {
+            manifest.segments.emplace_back(info.path.filename().string(), info.records);
+        }
+        manifest.masks = spill_->response_masks();
+        manifest.pass_stats = stats;
+        manifest.retry_lists = retry_lists_;
+        write_manifest(spill_->directory(), manifest);
+    }
+
+    /// Clean finish: the manifest, and after a resume the adopted segments
+    /// (which the SpillSink destructor deliberately leaves alone), are no
+    /// longer needed.
+    void retire() {
+        if (spill_ == nullptr) return;
+        remove_manifest(spill_->directory());
+        if (resumed_ && !config_.keep_segments) {
+            std::error_code ec;  // best-effort, like the destructor's cleanup
+            for (const SpillSink::SegmentInfo& info : spill_->segment_manifest()) {
+                std::filesystem::remove(info.path, ec);
+            }
         }
     }
 
-    [[nodiscard]] std::uint64_t upgraded() const noexcept { return upgraded_; }
-
   private:
-    SpillSink* spill_;
-    std::uint16_t pass_;
-    std::uint64_t upgraded_ = 0;
+    SpillSink* spill_ = nullptr;
+    std::uint64_t target_count_ = 0;
+    SpillConfig config_;
+    bool resumed_ = false;
+    std::vector<std::vector<std::uint64_t>> retry_lists_;
 };
 
 }  // namespace
@@ -266,26 +355,6 @@ std::vector<std::uint32_t> CensusPlan::assignment_by_affinity(
 CensusRunner::CensusRunner(CensusPlan plan)
     : plan_(std::move(plan)), pool_(validated(plan_).worker_threads) {}
 
-Measurement CensusRunner::run() {
-    return measure(plan_.name, plan_.targets, plan_.assignment);
-}
-
-Measurement CensusRunner::measure(std::string name, std::span<const net::IPv4Address> targets,
-                                  std::span<const std::uint32_t> assignment) {
-    CollectingSink sink(std::move(name));
-    sink.reserve(targets.size());
-    stream(targets, assignment, sink);
-    return sink.take();
-}
-
-void CensusRunner::stream(std::span<const net::IPv4Address> targets,
-                          std::span<const std::uint32_t> assignment, RecordSink& sink) {
-    std::vector<std::uint64_t> indices(targets.size());
-    for (std::size_t i = 0; i < targets.size(); ++i) indices[i] = next_global_index_ + i;
-    stream_indexed(targets, indices, assignment, plan_.campaign, sink);
-    next_global_index_ += targets.size();
-}
-
 void CensusRunner::stream_indexed(std::span<const net::IPv4Address> targets,
                                   std::span<const std::uint64_t> global_indices,
                                   std::span<const std::uint32_t> assignment,
@@ -293,7 +362,7 @@ void CensusRunner::stream_indexed(std::span<const net::IPv4Address> targets,
                                   RecordSink& sink) {
     const std::size_t lanes = plan_.vantages.size();
     if (!assignment.empty() && assignment.size() != targets.size()) {
-        plan_error("stream(): assignment covers " + std::to_string(assignment.size()) +
+        plan_error("stream_passes(): assignment covers " + std::to_string(assignment.size()) +
                    " targets but the list has " + std::to_string(targets.size()));
     }
 
@@ -327,7 +396,7 @@ void CensusRunner::stream_indexed(std::span<const net::IPv4Address> targets,
     for (std::size_t i = 0; i < targets.size(); ++i) {
         const std::size_t lane = assignment.empty() ? i % lanes : assignment[i];
         if (lane >= lanes) {
-            plan_error("stream(): assignment[" + std::to_string(i) + "] = " +
+            plan_error("stream_passes(): assignment[" + std::to_string(i) + "] = " +
                        std::to_string(lane) + " but there are only " + std::to_string(lanes) +
                        " vantages");
         }
@@ -485,7 +554,7 @@ void CensusRunner::stream_indexed(std::span<const net::IPv4Address> targets,
                         break;
                     }
                     throw std::runtime_error(
-                        "CensusRunner::stream: vantage lane " + std::to_string(v) +
+                        "CensusRunner::stream_passes: vantage lane " + std::to_string(v) +
                         " ended before target " + std::to_string(i) +
                         (lane.error ? " (lane threw)" : ""));
                 }
@@ -502,7 +571,7 @@ void CensusRunner::stream_indexed(std::span<const net::IPv4Address> targets,
                             break;
                         }
                         throw std::runtime_error(
-                            "CensusRunner::stream: watchdog expired on vantage lane " +
+                            "CensusRunner::stream_passes: watchdog expired on vantage lane " +
                             std::to_string(v) + " before target " + std::to_string(i) +
                             " with no surviving lane to requeue onto");
                     }
@@ -626,10 +695,6 @@ void CensusRunner::stream_indexed(std::span<const net::IPv4Address> targets,
     }
 }
 
-Measurement CensusRunner::run_passes() {
-    return measure_passes(plan_.name, plan_.targets, plan_.assignment, plan_.passes);
-}
-
 Measurement CensusRunner::measure_passes(std::string name,
                                          std::span<const net::IPv4Address> targets,
                                          std::span<const std::uint32_t> assignment,
@@ -705,13 +770,97 @@ void CensusRunner::stream_paths(std::span<const std::vector<net::IPv4Address>> p
     stream_passes(path_targets_.targets, assignment, passes, sink);
 }
 
-Measurement CensusRunner::measure_paths(std::string name,
-                                        std::span<const std::vector<net::IPv4Address>> paths,
-                                        std::span<const std::uint32_t> path_lane,
-                                        std::size_t passes) {
-    CollectingSink sink(std::move(name));
-    stream_paths(paths, path_lane, passes, sink);
-    return sink.take();
+template <class Store>
+void CensusRunner::pass_loop(Store& store, std::span<const net::IPv4Address> targets,
+                             std::vector<std::uint64_t> indices,
+                             std::span<const std::uint32_t> assignment, std::size_t passes,
+                             RecordSink& sink) {
+    const std::uint64_t index_base = next_global_index_;
+
+    // Probes the targets at global indices `list` under pass `pass`'s ID
+    // lanes — pure functions of (pass, global index), so a retry emits
+    // packets no earlier pass emitted (fresh loss draws) yet the whole run
+    // stays byte-deterministic. The subset scratch comes from a bump arena
+    // recycled per call, so a steady retry cadence allocates nothing new.
+    util::BumpArena arena;
+    auto probe_subset = [&](std::span<const std::uint64_t> list, std::size_t pass,
+                            RecordSink& into) {
+        arena.reset();
+        auto subset = arena.make_span<net::IPv4Address>(list.size());
+        std::span<std::uint32_t> subset_assignment;
+        if (!assignment.empty()) subset_assignment = arena.make_span<std::uint32_t>(list.size());
+        for (std::size_t k = 0; k < list.size(); ++k) {
+            const auto position = static_cast<std::size_t>(list[k] - index_base);
+            subset[k] = targets[position];
+            if (!assignment.empty()) subset_assignment[k] = assignment[position];
+        }
+        stream_indexed(subset, list, subset_assignment, shifted_config(plan_.campaign, pass),
+                       into);
+    };
+
+    // RetrySink's predicate on the stored response mask: the merged state,
+    // not the raw retry result, decides what the next pass re-probes.
+    auto incomplete = [&](std::uint64_t g) {
+        return RetrySink::incomplete_mask(store.response_mask(g), plan_.retry);
+    };
+
+    // Checkpoint and resume, the one store-specific step: a spilled census
+    // with a checkpoint directory journals every pass boundary and, finding
+    // the manifest of a killed run, resumes after its last completed pass.
+    // Every ID is a pure function of (pass, global index) and the merge is
+    // idempotent per pass, so a partially merged interrupted pass heals on
+    // re-run and the resumed output is byte-identical to an uninterrupted
+    // one.
+    Journal journal;
+    if constexpr (std::is_same_v<Store, SpillSink>) {
+        if (!resolved_checkpoint_dir(plan_).empty()) {
+            journal = Journal(store, targets.size(), plan_.spill_config);
+        }
+    }
+    const std::size_t completed = journal.resume(passes, pass_stats_);
+    resumed_ = completed != 0;
+
+    // Pass 0 streams every target into the store. On resume the store
+    // already holds the completed passes' incumbents, and the same traffic
+    // — pass 0 and every completed retry pass, results discarded — is
+    // replayed instead: simulated routers advance per-packet counters at
+    // send time and a fresh process holds fresh routers, so the resumed
+    // pass must meet the backend state the uninterrupted run met. The retry
+    // list is then pass 0's index list, filtered in place; on resume the
+    // masks came from the manifest, so it is exactly the list the killed
+    // process would have probed next.
+    DiscardSink discard;
+    stream_indexed(targets, indices, assignment, plan_.campaign,
+                   resumed_ ? static_cast<RecordSink&>(discard) : store);
+    for (std::size_t pass = 1; pass < completed; ++pass) {
+        probe_subset(journal.retry_list(pass), pass, discard);
+    }
+    next_global_index_ += targets.size();
+    std::vector<std::uint64_t> retry_list = std::move(indices);
+    std::erase_if(retry_list, std::not_fn(incomplete));
+    if (!resumed_) {
+        pass_stats_.push_back({targets.size(), 0, retry_list.size()});
+        journal.record(pass_stats_, {});
+    }
+
+    // Retry passes re-probe only the still-incomplete targets and merge by
+    // strict improvement against the stored incumbent.
+    for (std::size_t pass = std::max<std::size_t>(completed, 1);
+         pass < passes && !retry_list.empty(); ++pass) {
+        UpgradeSink<Store> upgrade(store, static_cast<std::uint16_t>(pass));
+        probe_subset(retry_list, pass, upgrade);
+        std::vector<std::uint64_t> still;
+        std::copy_if(retry_list.begin(), retry_list.end(), std::back_inserter(still), incomplete);
+        pass_stats_.push_back({retry_list.size(), upgrade.upgraded(), still.size()});
+        journal.record(pass_stats_, retry_list);
+        retry_list = std::move(still);
+    }
+
+    // Every target's final record exactly once, in global-index order,
+    // with TargetRecord::pass naming the winning pass.
+    store.drain(sink);
+    sink.finish();
+    journal.retire();
 }
 
 void CensusRunner::stream_passes(std::span<const net::IPv4Address> targets,
@@ -724,264 +873,34 @@ void CensusRunner::stream_passes(std::span<const net::IPv4Address> targets,
     }
     pass_stats_.clear();
     resumed_ = false;
+    std::vector<std::uint64_t> indices(targets.size());
+    std::iota(indices.begin(), indices.end(), next_global_index_);
 
-    // A single pass is the plain streaming census — the sink overlaps the
-    // probing as usual, with a RetrySink in front only to tally how much a
-    // second pass would have had to re-probe.
+    // A single pass is the plain streaming census: no record can be
+    // upgraded later, so the sink overlaps the probing, with a RetrySink in
+    // front only to tally how much a second pass would have re-probed.
     if (passes == 1) {
         RetrySink retry(&sink, plan_.retry);
-        stream(targets, assignment, retry);
-        pass_stats_.push_back(
-            {targets.size(), 0, retry.retry_indices().size()});
+        stream_indexed(targets, indices, assignment, plan_.campaign, retry);
+        next_global_index_ += targets.size();
+        pass_stats_.push_back({targets.size(), 0, retry.retry_indices().size()});
         return;
     }
 
-    // Multi-pass with bounded memory: incumbents live in disk segments,
-    // only their response masks stay in RAM.
+    // Multi-pass: records are not final until every pass they might be
+    // retried in has run, so the incumbents wait in a store — whole records
+    // in RAM, or with plan.spill compact records in disk segments plus a
+    // two-byte response mask per target in RAM.
     if (plan_.spill) {
-        stream_passes_spilled(targets, assignment, passes, sink);
-        return;
-    }
-
-    // Pass 0: the full list, collected (records are not final until every
-    // retry pass they might appear in has run) with the retry population
-    // tallied in stream.
-    const std::uint64_t index_base = next_global_index_;
-    std::vector<std::uint64_t> indices(targets.size());
-    for (std::size_t i = 0; i < targets.size(); ++i) indices[i] = index_base + i;
-    CollectingSink collect("");
-    collect.reserve(targets.size());
-    RetrySink first_pass(&collect, plan_.retry);
-    stream_indexed(targets, indices, assignment, plan_.campaign, first_pass);
-    next_global_index_ += targets.size();
-    std::vector<TargetRecord> records = collect.take().records;
-    std::vector<std::uint64_t> retry_list = first_pass.retry_indices();
-    pass_stats_.push_back({targets.size(), 0, retry_list.size()});
-
-    // Retry passes: re-probe only the still-incomplete targets, each pass
-    // under its shifted ID bases — IPIDs/msgIDs stay pure functions of
-    // (pass, global index), so the re-probe emits packets no earlier pass
-    // emitted (fresh loss draws) yet the whole multi-pass run is
-    // byte-deterministic. The merged record, not the raw retry result,
-    // decides what the *next* pass still retries.
-    for (std::size_t pass = 1; pass < passes && !retry_list.empty(); ++pass) {
-        std::vector<net::IPv4Address> subset;
-        std::vector<std::uint64_t> subset_indices;
-        std::vector<std::uint32_t> subset_assignment;
-        subset.reserve(retry_list.size());
-        subset_indices.reserve(retry_list.size());
-        if (!assignment.empty()) subset_assignment.reserve(retry_list.size());
-        for (std::uint64_t g : retry_list) {
-            const std::size_t position = static_cast<std::size_t>(g - index_base);
-            subset.push_back(targets[position]);
-            subset_indices.push_back(g);
-            if (!assignment.empty()) subset_assignment.push_back(assignment[position]);
+        SpillConfig config = plan_.spill_config;
+        if (const std::string dir = resolved_checkpoint_dir(plan_); !dir.empty()) {
+            config.directory = dir;
         }
-
-        MergeSink merge(records, index_base, static_cast<std::uint16_t>(pass));
-        stream_indexed(subset, subset_indices, subset_assignment,
-                       shifted_config(plan_.campaign, pass), merge);
-
-        std::vector<std::uint64_t> still;
-        for (std::uint64_t g : retry_list) {
-            if (RetrySink::incomplete(records[static_cast<std::size_t>(g - index_base)],
-                                      plan_.retry)) {
-                still.push_back(g);
-            }
-        }
-        pass_stats_.push_back({subset.size(), merge.upgraded(), still.size()});
-        retry_list = std::move(still);
-    }
-
-    // Final emission: every target's merged record exactly once, in
-    // global-index order, with TargetRecord::pass naming the winning pass.
-    for (std::size_t i = 0; i < records.size(); ++i) {
-        sink.accept(index_base + i, std::move(records[i]));
-    }
-    sink.finish();
-}
-
-void CensusRunner::stream_passes_spilled(std::span<const net::IPv4Address> targets,
-                                         std::span<const std::uint32_t> assignment,
-                                         std::size_t passes, RecordSink& sink) {
-    // Checkpointing (crash-tolerant resume): when a checkpoint directory is
-    // configured — plan_.checkpoint_dir or LFP_CHECKPOINT_DIR — the spill
-    // segments land there and a manifest is journaled next to them at every
-    // pass boundary. A census killed mid-pass resumes at the last boundary:
-    // completed passes' records are adopted from the surviving segments and
-    // the interrupted pass re-runs from scratch. Every ID is a pure
-    // function of (pass, global index) and the retry merge is idempotent
-    // per pass, so a partially-merged interrupted pass heals — re-running
-    // it recomputes identical records — and the resumed run's output is
-    // byte-identical to an uninterrupted one.
-    const std::string checkpoint_dir = resolved_checkpoint_dir(plan_);
-    const bool checkpointed = !checkpoint_dir.empty();
-    SpillConfig spill_config = plan_.spill_config;
-    if (checkpointed) spill_config.directory = checkpoint_dir;
-
-    const std::uint64_t index_base = next_global_index_;
-    SpillSink spill(spill_config, index_base);
-
-    // Resume detection: a manifest describing this exact census shape
-    // (base, target count, segment geometry, a completed-pass count this
-    // run could have produced) means an earlier process was killed here.
-    std::size_t first_pass = 0;
-    std::vector<std::vector<std::uint64_t>> replay_lists;
-    if (checkpointed) {
-        if (auto manifest = read_manifest(checkpoint_dir);
-            manifest.has_value() && manifest->index_base == index_base &&
-            manifest->target_count == targets.size() &&
-            manifest->segment_records == spill_config.segment_records &&
-            manifest->completed_passes <= passes) {
-            std::vector<SpillSink::SegmentInfo> segments;
-            segments.reserve(manifest->segments.size());
-            for (const auto& [name, records] : manifest->segments) {
-                segments.push_back({std::filesystem::path(checkpoint_dir) / name, records});
-            }
-            spill.adopt(std::move(segments), std::move(manifest->masks));
-            pass_stats_ = std::move(manifest->pass_stats);
-            replay_lists = std::move(manifest->retry_lists);
-            first_pass = manifest->completed_passes;
-            resumed_ = true;
-        }
-    }
-
-    // Journal the census state as of `completed` finished passes. flush()
-    // first: after it, every accepted record is on disk and the manifest's
-    // segment list describes the census completely. The manifest itself is
-    // written atomically (tmp + rename), so a kill at any instant leaves
-    // either the previous checkpoint or this one — never a torn one.
-    auto write_checkpoint = [&](std::size_t completed) {
-        spill.flush();
-        CensusManifest manifest;
-        manifest.index_base = index_base;
-        manifest.target_count = targets.size();
-        manifest.segment_records = spill_config.segment_records;
-        manifest.completed_passes = static_cast<std::uint32_t>(completed);
-        for (const SpillSink::SegmentInfo& info : spill.segment_manifest()) {
-            manifest.segments.emplace_back(info.path.filename().string(), info.records);
-        }
-        manifest.masks = spill.response_masks();
-        manifest.pass_stats = pass_stats_;
-        manifest.retry_lists = replay_lists;
-        write_manifest(checkpoint_dir, manifest);
-    };
-
-    if (!resumed_) {
-        // Pass 0: stream the full list straight to disk. RAM footprint from
-        // here on: one unflushed segment of compact records plus two bytes
-        // of response mask per target — never a whole Measurement.
-        std::vector<std::uint64_t> indices(targets.size());
-        for (std::size_t i = 0; i < targets.size(); ++i) indices[i] = index_base + i;
-        stream_indexed(targets, indices, assignment, plan_.campaign, spill);
-        next_global_index_ += targets.size();
+        SpillSink store(config, next_global_index_);
+        pass_loop(store, targets, std::move(indices), assignment, passes, sink);
     } else {
-        next_global_index_ += targets.size();
-        if (plan_.checkpoint_replay) {
-            // Simulated transports are stateful (per-router counters
-            // advance as probes arrive), so a resumed pass's packets must
-            // meet the same backend state they would have met in the
-            // uninterrupted run: replay every completed pass's send
-            // traffic, results discarded. Live transports set
-            // checkpoint_replay = false — real routers don't need warming.
-            DiscardSink discard;
-            std::vector<std::uint64_t> indices(targets.size());
-            for (std::size_t i = 0; i < targets.size(); ++i) indices[i] = index_base + i;
-            stream_indexed(targets, indices, assignment, plan_.campaign, discard);
-            for (std::size_t q = 1; q < first_pass; ++q) {
-                const std::vector<std::uint64_t>& list = replay_lists[q - 1];
-                std::vector<net::IPv4Address> subset;
-                std::vector<std::uint64_t> subset_indices;
-                std::vector<std::uint32_t> subset_assignment;
-                subset.reserve(list.size());
-                subset_indices.reserve(list.size());
-                if (!assignment.empty()) subset_assignment.reserve(list.size());
-                for (std::uint64_t g : list) {
-                    const std::size_t position = static_cast<std::size_t>(g - index_base);
-                    subset.push_back(targets[position]);
-                    subset_indices.push_back(g);
-                    if (!assignment.empty()) {
-                        subset_assignment.push_back(assignment[position]);
-                    }
-                }
-                stream_indexed(subset, subset_indices, subset_assignment,
-                               shifted_config(plan_.campaign, q), discard);
-            }
-        }
-    }
-
-    // The retry population falls out of the mask index — the predicate is
-    // the same one RetrySink applies to full records. On resume the masks
-    // came from the manifest, so this recomputes exactly the list the
-    // killed process would have probed next.
-    std::vector<std::uint64_t> retry_list;
-    for (std::size_t i = 0; i < targets.size(); ++i) {
-        if (RetrySink::incomplete_mask(spill.response_mask(index_base + i), plan_.retry)) {
-            retry_list.push_back(index_base + i);
-        }
-    }
-    if (!resumed_) {
-        pass_stats_.push_back({targets.size(), 0, retry_list.size()});
-        if (checkpointed) write_checkpoint(1);
-    }
-
-    // Retry passes, as in the in-memory path (shifted ID lanes, strict-
-    // improvement merge, merged state decides the next pass) — but the
-    // merge happens in place inside the spilled segments, and the per-pass
-    // subset scratch comes from a bump arena recycled at each pass
-    // boundary, so a steady retry cadence allocates nothing new.
-    util::BumpArena pass_arena;
-    for (std::size_t pass = std::max<std::size_t>(first_pass, 1);
-         pass < passes && !retry_list.empty(); ++pass) {
-        pass_arena.reset();
-        auto subset = pass_arena.make_span<net::IPv4Address>(retry_list.size());
-        auto subset_indices = pass_arena.make_span<std::uint64_t>(retry_list.size());
-        std::span<std::uint32_t> subset_assignment;
-        if (!assignment.empty()) {
-            subset_assignment = pass_arena.make_span<std::uint32_t>(retry_list.size());
-        }
-        for (std::size_t k = 0; k < retry_list.size(); ++k) {
-            const std::size_t position =
-                static_cast<std::size_t>(retry_list[k] - index_base);
-            subset[k] = targets[position];
-            subset_indices[k] = retry_list[k];
-            if (!assignment.empty()) subset_assignment[k] = assignment[position];
-        }
-
-        SpillMergeSink merge(spill, static_cast<std::uint16_t>(pass));
-        stream_indexed(subset, subset_indices, subset_assignment,
-                       shifted_config(plan_.campaign, pass), merge);
-
-        std::vector<std::uint64_t> still;
-        for (std::uint64_t g : retry_list) {
-            if (RetrySink::incomplete_mask(spill.response_mask(g), plan_.retry)) {
-                still.push_back(g);
-            }
-        }
-        pass_stats_.push_back({retry_list.size(), merge.upgraded(), still.size()});
-        if (checkpointed) {
-            replay_lists.push_back(retry_list);
-            write_checkpoint(pass + 1);
-        }
-        retry_list = std::move(still);
-    }
-
-    // Final emission: sequential re-read of the segments, expanded back to
-    // rich records, in global-index order — same contract as the in-memory
-    // path (empty packet bytes aside; see CompactRecord).
-    spill.drain(sink);
-    sink.finish();
-
-    // Clean finish: the manifest (and, after a resume, the adopted segments
-    // the destructor deliberately leaves alone) are no longer needed.
-    if (checkpointed) {
-        remove_manifest(checkpoint_dir);
-        if (resumed_ && !spill_config.keep_segments) {
-            std::error_code ec;  // best-effort, like the destructor's cleanup
-            for (const SpillSink::SegmentInfo& info : spill.segment_manifest()) {
-                std::filesystem::remove(info.path, ec);
-            }
-        }
+        RamStore store(next_global_index_, targets.size());
+        pass_loop(store, targets, std::move(indices), assignment, passes, sink);
     }
 }
 

@@ -2,8 +2,8 @@
 // measure (targets, vantage transports, window/timeout/worker knobs, ID
 // bases) and the CensusRunner executes it — partitioning the target list
 // across vantage lanes, running each lane's windowed campaign on its own
-// thread, and index-merging records so the merged Measurement is
-// byte-identical to a single-vantage serial run on deterministic transports.
+// thread, and index-merging records so the merged stream is byte-identical
+// to a single-vantage serial run on deterministic transports.
 //
 // Determinism rests on three properties:
 //   1. IPIDs and SNMP msgIDs are pure functions of a target's *global*
@@ -19,19 +19,18 @@
 // classification) shard over a worker pool with index-order merges, so the
 // whole Figure-1 pipeline is deterministic at any worker count.
 //
-// The runner is streaming end to end: stream() merges lane completions in
-// global-index order over per-lane lock-free rings and drives a RecordSink
-// record by record while later targets are still in flight, so analysis
-// overlaps probing. measure() is the batch adapter — stream() into a
-// CollectingSink.
-//
-// Multi-pass censuses (stream_passes/run_passes) wrap the streaming engine
-// in a retry loop: a RetrySink tallies targets whose signatures came back
-// incomplete, and each later pass re-probes only those under per-pass
-// shifted ID bases (kPassIpidStride/kPassMsgIdStride — still pure
-// functions of pass and global index, so multi-pass runs stay
-// byte-deterministic), merging per record with strict-improvement
-// semantics and TargetRecord::pass provenance.
+// Three entry points: stream_passes() is the census, stream_paths() the
+// path census over traceroute-discovered hops, and measure_passes() the
+// batch form (stream_passes() into a CollectingSink). A single pass streams
+// records to the sink in global-index order while later targets are still
+// in flight. More passes run the one multi-pass loop: pass 0 fills an
+// incumbent store (whole records in RAM, or a SpillSink on disk with
+// plan.spill), each later pass re-probes only the targets whose stored
+// response mask is incomplete under per-pass shifted ID bases
+// (kPassIpidStride/kPassMsgIdStride — still pure functions of pass and
+// global index), a retry replaces its incumbent only on strict improvement
+// (mask_merge_improves, TargetRecord::pass provenance), and the store
+// drains to the sink in global-index order at the end.
 #pragma once
 
 #include <chrono>
@@ -51,16 +50,19 @@ namespace lfp::core {
 /// everything the ad-hoc Campaign::Config + PipelineConfig + loose
 /// ExperimentWorld plumbing used to scatter.
 struct CensusPlan {
-    /// Name stamped onto the Measurement produced by run().
+    /// Label of the census, e.g. the Measurement name a caller hands to
+    /// measure_passes().
     std::string name = "census";
-    /// Target list for run(). measure() takes explicit lists instead.
+    /// The census's target list, for callers that keep it with the plan
+    /// (the serving layer re-runs it every census); the runner's entry
+    /// points take the list explicitly.
     std::vector<net::IPv4Address> targets;
 
     /// Vantage transports, one per lane (non-owning; must outlive the
     /// runner). One entry reproduces the classic single-vantage pipeline.
     std::vector<probe::ProbeTransport*> vantages;
 
-    /// Optional explicit lane assignment for run(): assignment[i] is the
+    /// Optional explicit lane assignment for `targets`: assignment[i] is the
     /// vantage lane of targets[i]. Empty = group by the lead vantage's
     /// ProbeTransport::backend_hint() — targets reporting the same backend
     /// (alias interfaces of one simulated router) share a lane, everything
@@ -83,11 +85,11 @@ struct CensusPlan {
     /// Records per worker-pool shard.
     std::size_t shard_grain = 64;
 
-    /// Census passes for run_passes()/stream_passes(): pass 0 probes the
-    /// whole list, every later pass re-probes only the targets whose
+    /// Census passes when an entry point is given `passes` 0: pass 0 probes
+    /// the whole list, every later pass re-probes only the targets whose
     /// signatures came back incomplete (RetrySink's predicate) under that
     /// pass's shifted ID bases. 1 (the default) is the classic single-pass
-    /// census; measure()/stream() always run exactly one pass regardless.
+    /// census.
     std::size_t passes = 1;
     /// Retry policy for the multi-pass loop (see RetrySink::Options).
     RetrySink::Options retry;
@@ -116,29 +118,26 @@ struct CensusPlan {
     /// run over the same target count finding a manifest resumes at the
     /// last completed pass instead of starting over; `kill -9` mid-pass
     /// costs at most one pass of work, and the resumed output is
-    /// byte-identical to an uninterrupted run. Applies to the spill path
-    /// only (spill = true, passes > 1); other shapes ignore it.
+    /// byte-identical to an uninterrupted run: resume replays the
+    /// completed passes' send traffic (results discarded) before re-running
+    /// the interrupted pass, so stateful simulated routers meet the state
+    /// they would have. Applies to the spill path only (spill = true,
+    /// passes > 1); other shapes ignore it.
     std::string checkpoint_dir;
-    /// On resume, replay the completed passes' send traffic (results
-    /// discarded) before re-running the interrupted pass. Stateful
-    /// simulated transports need this — routers advance per-packet counters
-    /// at send time, and a fresh process holds fresh routers — for the
-    /// byte-identity guarantee. Live transports can turn it off: the
-    /// network does not reset when the census process does.
-    bool checkpoint_replay = true;
 
-    /// Spill-to-disk for the multi-pass census: when true, stream_passes()
-    /// never materialises the whole record set in RAM. Pass 0 streams into
-    /// a SpillSink (fixed-width CompactRecords in size-capped disk
-    /// segments; two bytes of response-mask index per target stay
-    /// resident), retry passes merge strictly-improving results into the
-    /// spilled segments in place, and the final in-order emission re-reads
-    /// the segments sequentially. Byte-identical classifications and
-    /// signature databases to the in-memory path — the merge/retry
-    /// predicates are shared mask arithmetic (see mask_merge_improves).
+    /// Spill-to-disk for the multi-pass census: when true, the incumbent
+    /// store is a SpillSink and the census never materialises the whole
+    /// record set in RAM. Pass 0 streams into the SpillSink (fixed-width
+    /// CompactRecords in size-capped disk segments; two bytes of
+    /// response-mask index per target stay resident), retry passes merge
+    /// strictly-improving results into the spilled segments in place, and
+    /// the final in-order emission re-reads the segments sequentially.
+    /// Byte-identical classifications and signature databases to the
+    /// in-memory path — one loop decides retries and merges from response
+    /// masks over either store (see mask_merge_improves).
     /// Expanded records carry empty packet bytes (the raw bytes are
     /// consumed at assembly; see CompactRecord). Single-pass censuses
-    /// ignore this flag: stream() already holds nothing.
+    /// ignore this flag: they hold nothing.
     bool spill = false;
     /// Segment directory/sizing for the spill path (see SpillConfig; the
     /// default resolves $LFP_SPILL_DIR, then the system temp directory).
@@ -212,7 +211,7 @@ struct PathTargets {
 };
 
 /// Executes CensusPlans. Holds the worker pool and the running global-index
-/// offset, so consecutive measure() calls continue the same ID lanes exactly
+/// offset, so consecutive census calls continue the same ID lanes exactly
 /// like one long serial campaign over the concatenated target lists.
 class CensusRunner {
   public:
@@ -222,72 +221,52 @@ class CensusRunner {
     CensusRunner(const CensusRunner&) = delete;
     CensusRunner& operator=(const CensusRunner&) = delete;
 
-    /// Probes the plan's own target list with the plan's assignment and
-    /// assembles records (steps 1-2 of Figure 1).
-    [[nodiscard]] Measurement run();
-
-    /// Probes an explicit target list, reusing the plan's vantages and
-    /// knobs. `assignment` maps each target to a lane (empty = backend-hint
-    /// grouping, as for CensusPlan::assignment). A thin adapter: stream()
-    /// into a CollectingSink.
-    [[nodiscard]] Measurement measure(std::string name,
-                                      std::span<const net::IPv4Address> targets,
-                                      std::span<const std::uint32_t> assignment = {});
-
-    /// The streaming census: probes `targets` across the vantage lanes and
-    /// drives `sink` with one assembled TargetRecord per target in strictly
-    /// increasing global-index order, while later targets are still in
-    /// flight. Lane threads hand completed probe results to this (calling)
-    /// thread over per-lane lock-free rings; feature extraction and
-    /// signature/labeling run here in shard_grain batches over the worker
-    /// pool; sink.accept() sees the merged in-order stream and
-    /// sink.finish() follows the last record. Byte-identity: feeding a
-    /// CollectingSink yields exactly the Measurement measure() returns, at
-    /// any vantage count or window.
-    void stream(std::span<const net::IPv4Address> targets,
-                std::span<const std::uint32_t> assignment, RecordSink& sink);
-
-    /// Per-pass accounting of the latest run_passes()/stream_passes() call
-    /// (entry p describes pass p). The struct itself lives at core scope
+    /// Per-pass accounting of the latest stream_passes() call (entry p
+    /// describes pass p). The struct itself lives at core scope
     /// (core::PassStats in measurement.hpp) so the io exporters can persist
     /// pass trajectories without pulling in the census engine; the alias
     /// keeps the historical CensusRunner::PassStats spelling working.
     using PassStats = core::PassStats;
 
-    /// The multi-pass census (plan.passes, plan.retry): run_passes() probes
-    /// the plan's own target list like run() does, then feeds the
-    /// incomplete targets back through up to plan.passes - 1 retry passes.
-    [[nodiscard]] Measurement run_passes();
-
-    /// Explicit-list form of run_passes(), mirroring measure(): a thin
-    /// adapter — stream_passes() into a CollectingSink. `passes` 0 (the
-    /// default) means "the plan's configured pass count", so omitting the
-    /// argument honors plan.passes exactly like run_passes() does.
-    [[nodiscard]] Measurement measure_passes(std::string name,
-                                             std::span<const net::IPv4Address> targets,
-                                             std::span<const std::uint32_t> assignment = {},
-                                             std::size_t passes = 0);
-
-    /// The streaming re-probe loop. Pass 0 probes every target; each later
-    /// pass re-probes only the targets RetrySink flagged incomplete, under
-    /// ID bases shifted by CensusPlan::kPassIpidStride/kPassMsgIdStride per
-    /// pass — pure functions of (pass, global index), so multi-pass runs
-    /// stay byte-deterministic. A retry result replaces a record only when
-    /// it measured *strictly more* (more answered probe slots, an SNMP
-    /// answer breaking ties); records are never spliced across passes, and
-    /// TargetRecord::pass carries the winning pass as provenance. The sink
-    /// sees each target's final merged record exactly once, in global-index
-    /// order — necessarily after the last pass, since no record is final
-    /// before every pass it might be retried in has run (passes == 1
-    /// degenerates to plain stream(), which overlaps the sink with
-    /// probing). `passes` 0 means "the plan's configured pass count".
+    /// The census: probes `targets` across the vantage lanes and drives
+    /// `sink` with one assembled TargetRecord per target in strictly
+    /// increasing global-index order, then sink.finish(). `assignment` maps
+    /// each target to a lane (empty = backend-hint grouping, as for
+    /// CensusPlan::assignment); `passes` 0 means "the plan's configured
+    /// pass count".
+    ///
+    /// One pass streams: lane threads hand completed probe results to this
+    /// (calling) thread over per-lane lock-free rings, feature extraction
+    /// and signature/labeling run here in shard_grain batches over the
+    /// worker pool, and the sink sees each record while later targets are
+    /// still in flight. More passes run the multi-pass loop: pass 0 fills
+    /// the incumbent store (RAM, or disk segments with plan.spill), each
+    /// later pass re-probes only the targets RetrySink's predicate flags
+    /// incomplete, under ID bases shifted by CensusPlan::kPassIpidStride/
+    /// kPassMsgIdStride per pass — pure functions of (pass, global index),
+    /// so multi-pass runs stay byte-deterministic. A retry result replaces
+    /// its incumbent only when it measured *strictly more* (more answered
+    /// probe slots, an SNMP answer breaking ties); records are never
+    /// spliced across passes, and TargetRecord::pass carries the winning
+    /// pass as provenance. The sink then sees each target's final record
+    /// exactly once, in global-index order — after the last pass, since no
+    /// record is final before every pass it might be retried in has run.
+    /// Byte-identity: the output is the same at any vantage count, window
+    /// or worker count, and (packet bytes aside) with or without spill.
     /// Per-pass counts land in last_pass_stats().
     void stream_passes(std::span<const net::IPv4Address> targets,
                        std::span<const std::uint32_t> assignment, std::size_t passes,
                        RecordSink& sink);
 
-    /// Per-pass stats of the most recent multi-pass call (empty before the
-    /// first one; single-pass stream()/measure() calls leave it untouched).
+    /// Batch form of stream_passes(): collects the stream into a
+    /// Measurement named `name`.
+    [[nodiscard]] Measurement measure_passes(std::string name,
+                                             std::span<const net::IPv4Address> targets,
+                                             std::span<const std::uint32_t> assignment = {},
+                                             std::size_t passes = 0);
+
+    /// Per-pass stats of the most recent stream_passes() call (empty before
+    /// the first one).
     [[nodiscard]] const std::vector<PassStats>& last_pass_stats() const noexcept {
         return pass_stats_;
     }
@@ -309,15 +288,8 @@ class CensusRunner {
                       std::span<const std::uint32_t> path_lane, std::size_t passes,
                       RecordSink& sink);
 
-    /// Batch adapter for stream_paths(): collect into a Measurement.
-    /// `passes` 0 means "the plan's configured pass count".
-    [[nodiscard]] Measurement measure_paths(std::string name,
-                                            std::span<const std::vector<net::IPv4Address>> paths,
-                                            std::span<const std::uint32_t> path_lane = {},
-                                            std::size_t passes = 0);
-
-    /// The hop set the most recent stream_paths()/measure_paths() call
-    /// probed (empty before the first path census).
+    /// The hop set the most recent stream_paths() call probed (empty before
+    /// the first path census).
     [[nodiscard]] const PathTargets& last_path_targets() const noexcept {
         return path_targets_;
     }
@@ -347,7 +319,7 @@ class CensusRunner {
     [[nodiscard]] std::size_t vantage_count() const noexcept { return plan_.vantages.size(); }
     [[nodiscard]] util::ThreadPool& pool() noexcept { return pool_; }
 
-    /// Aggregate counters across all lanes and measure() calls.
+    /// Aggregate counters across all lanes and census calls.
     [[nodiscard]] std::uint64_t packets_sent() const noexcept { return packets_sent_; }
     [[nodiscard]] std::uint64_t responses_received() const noexcept { return responses_; }
     [[nodiscard]] std::uint64_t stray_responses() const noexcept { return strays_; }
@@ -358,21 +330,25 @@ class CensusRunner {
     [[nodiscard]] bool resumed_from_checkpoint() const noexcept { return resumed_; }
 
   private:
-    /// The engine beneath stream() and the retry passes: probes `targets`
-    /// where targets[i] carries global index global_indices[i] and the
-    /// given campaign knobs (stream() passes the plan's, retry passes shift
-    /// the ID bases). Does not advance next_global_index_ — the public
-    /// entry points own index-space accounting.
+    /// The engine beneath every pass: probes `targets` where targets[i]
+    /// carries global index global_indices[i] and the given campaign knobs
+    /// (pass 0 uses the plan's, retry passes shift the ID bases). Does not
+    /// advance next_global_index_ — the entry points own index-space
+    /// accounting.
     void stream_indexed(std::span<const net::IPv4Address> targets,
                         std::span<const std::uint64_t> global_indices,
                         std::span<const std::uint32_t> assignment,
                         const probe::Campaign::Config& campaign_config, RecordSink& sink);
 
-    /// The spill-backed body of stream_passes() (plan.spill, passes > 1):
-    /// same pass/merge/emission semantics with on-disk incumbents.
-    void stream_passes_spilled(std::span<const net::IPv4Address> targets,
-                               std::span<const std::uint32_t> assignment, std::size_t passes,
-                               RecordSink& sink);
+    /// The multi-pass loop (passes > 1) over an incumbent store — the
+    /// in-memory one or a SpillSink. indices[i] is the global index of
+    /// targets[i]; the loop filters that list into pass 1's retry list.
+    /// Defined and instantiated in census.cpp.
+    template <class Store>
+    void pass_loop(Store& store, std::span<const net::IPv4Address> targets,
+                   std::vector<std::uint64_t> indices,
+                   std::span<const std::uint32_t> assignment, std::size_t passes,
+                   RecordSink& sink);
 
     CensusPlan plan_;
     util::ThreadPool pool_;

@@ -3,6 +3,7 @@
 #include <cstring>
 #include <fstream>
 #include <stdexcept>
+#include <string_view>
 
 namespace lfp::core {
 namespace {
@@ -28,10 +29,28 @@ bool get_u32(std::istream& in, std::uint32_t& value) {
     return in.gcount() == sizeof(value);
 }
 
-// Structural sanity ceilings: a corrupt length field must not turn into a
-// multi-gigabyte allocation before the truncation check catches it.
+/// True when `count` items of `width` bytes fit in what is left of the
+/// file — checked before any length field from the file sizes an
+/// allocation, so a corrupt count can never ask for more than the file
+/// holds.
+bool fits(std::istream& in, std::uint64_t file_size, std::uint64_t count, std::size_t width) {
+    const auto position = static_cast<std::uint64_t>(in.tellg());
+    return position <= file_size && count <= (file_size - position) / width;
+}
+
+/// A segment name must be a single plain file name inside the checkpoint
+/// directory: never absolute, never a path, never "." or "..".
+bool plain_file_name(std::string_view name) {
+    return !name.empty() && name != "." && name != ".." &&
+           name.find_first_of(std::string_view("/\\\0", 3)) == std::string_view::npos;
+}
+
+/// Longest segment name accepted (the sink generates a few dozen bytes).
 constexpr std::uint64_t kMaxNameLength = 4096;
-constexpr std::uint64_t kMaxListLength = std::uint64_t{1} << 40;
+/// Smallest encodings of a segment entry (record count + name length) and
+/// of a pass-stats entry.
+constexpr std::size_t kSegmentEntryBytes = sizeof(std::uint64_t) + sizeof(std::uint32_t);
+constexpr std::size_t kPassStatsBytes = 3 * sizeof(std::uint64_t);
 
 }  // namespace
 
@@ -85,7 +104,11 @@ void write_manifest(const std::filesystem::path& directory, const CensusManifest
 }
 
 std::optional<CensusManifest> read_manifest(const std::filesystem::path& directory) {
-    std::ifstream in(manifest_path(directory), std::ios::binary);
+    const std::filesystem::path path = manifest_path(directory);
+    std::error_code ec;
+    const std::uint64_t file_size = std::filesystem::file_size(path, ec);
+    if (ec) return std::nullopt;
+    std::ifstream in(path, std::ios::binary);
     if (!in) return std::nullopt;
 
     char magic[sizeof(kManifestMagic)] = {};
@@ -101,7 +124,8 @@ std::optional<CensusManifest> read_manifest(const std::filesystem::path& directo
         !get_u64(in, manifest.segment_records)) {
         return std::nullopt;
     }
-    if (!get_u32(in, manifest.completed_passes) || !get_u32(in, segment_count)) {
+    if (!get_u32(in, manifest.completed_passes) || !get_u32(in, segment_count) ||
+        !fits(in, file_size, segment_count, kSegmentEntryBytes)) {
         return std::nullopt;
     }
     manifest.segments.reserve(segment_count);
@@ -114,13 +138,16 @@ std::optional<CensusManifest> read_manifest(const std::filesystem::path& directo
         }
         std::string name(name_length, '\0');
         in.read(name.data(), name_length);
-        if (in.gcount() != static_cast<std::streamsize>(name_length)) return std::nullopt;
+        if (in.gcount() != static_cast<std::streamsize>(name_length) ||
+            !plain_file_name(name)) {
+            return std::nullopt;
+        }
         manifest.segments.emplace_back(std::move(name), records);
     }
 
     std::uint64_t mask_count = 0;
-    if (!get_u64(in, mask_count) || mask_count > kMaxListLength ||
-        mask_count != manifest.target_count) {
+    if (!get_u64(in, mask_count) || mask_count != manifest.target_count ||
+        !fits(in, file_size, mask_count, sizeof(std::uint16_t))) {
         return std::nullopt;
     }
     manifest.masks.resize(mask_count);
@@ -131,7 +158,8 @@ std::optional<CensusManifest> read_manifest(const std::filesystem::path& directo
     }
 
     std::uint32_t stats_count = 0;
-    if (!get_u32(in, stats_count) || stats_count != manifest.completed_passes) {
+    if (!get_u32(in, stats_count) || stats_count != manifest.completed_passes ||
+        !fits(in, file_size, stats_count, kPassStatsBytes)) {
         return std::nullopt;
     }
     manifest.pass_stats.resize(stats_count);
@@ -142,19 +170,31 @@ std::optional<CensusManifest> read_manifest(const std::filesystem::path& directo
         }
     }
 
+    // Retry lists index the target list on replay: every entry must name a
+    // target of this census, and no list can be longer than the census.
     std::uint32_t list_count = 0;
-    if (!get_u32(in, list_count) || list_count + 1 != manifest.completed_passes) {
+    if (!get_u32(in, list_count) ||
+        std::uint64_t{list_count} + 1 != manifest.completed_passes ||
+        !fits(in, file_size, list_count, sizeof(std::uint64_t))) {
         return std::nullopt;
     }
     manifest.retry_lists.resize(list_count);
     for (auto& list : manifest.retry_lists) {
         std::uint64_t length = 0;
-        if (!get_u64(in, length) || length > kMaxListLength) return std::nullopt;
+        if (!get_u64(in, length) || length > manifest.target_count ||
+            !fits(in, file_size, length, sizeof(std::uint64_t))) {
+            return std::nullopt;
+        }
         list.resize(length);
         in.read(reinterpret_cast<char*>(list.data()),
                 static_cast<std::streamsize>(length * sizeof(std::uint64_t)));
         if (in.gcount() != static_cast<std::streamsize>(length * sizeof(std::uint64_t))) {
             return std::nullopt;
+        }
+        for (const std::uint64_t g : list) {
+            if (g < manifest.index_base || g - manifest.index_base >= manifest.target_count) {
+                return std::nullopt;
+            }
         }
     }
 

@@ -49,8 +49,8 @@ struct CensusManifest {
     std::uint64_t segment_records = 0;
     /// Passes fully completed (1 = pass 0 done, retries still pending).
     std::uint32_t completed_passes = 0;
-    /// Segment file names (relative to the checkpoint directory, in order)
-    /// with their record counts.
+    /// Segment file names (plain names inside the checkpoint directory, in
+    /// order) with their record counts.
     std::vector<std::pair<std::string, std::uint64_t>> segments;
     /// Per-target response masks as of the last completed pass — the
     /// resident index SpillSink keeps in RAM, journaled so resume can
@@ -71,8 +71,11 @@ struct CensusManifest {
 void write_manifest(const std::filesystem::path& directory, const CensusManifest& manifest);
 
 /// Reads the manifest back; nullopt when absent, unreadable, or failing
-/// structural validation (bad magic, truncation, inconsistent counts) — a
-/// fresh census simply starts over in those cases.
+/// structural validation (bad magic, truncation, inconsistent counts, a
+/// length larger than the bytes left in the file, a segment name that is
+/// not a plain file name, a retry-list entry outside
+/// [index_base, index_base + target_count)) — a fresh census simply starts
+/// over in those cases.
 [[nodiscard]] std::optional<CensusManifest> read_manifest(
     const std::filesystem::path& directory);
 

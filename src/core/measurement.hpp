@@ -114,8 +114,14 @@ inline constexpr std::uint16_t kAllProbesMask = 0x1FF;
 /// The multi-pass merge rule on masks: a retry result replaces the
 /// incumbent only when it measures at least as much on every axis (per-
 /// protocol response rounds, SNMP answer) and strictly more on at least
-/// one. Mirrors merge_improves() on full records exactly — census.cpp
-/// implements the record form *via* this function.
+/// one. The axes are deliberately not traded against each other: a retry
+/// that gained a TCP round but lost an ICMP round (or the SNMP answer)
+/// would erase evidence the census already holds, so incomparable outcomes
+/// keep the incumbent, and equal evidence keeps the earliest pass (stable
+/// provenance). A fully answered retry dominates every incumbent, so the
+/// rule never blocks a partial-to-full conversion. The census's one
+/// multi-pass loop decides every merge with this function, whichever
+/// store holds the incumbents.
 [[nodiscard]] constexpr bool mask_merge_improves(std::uint16_t candidate,
                                                  std::uint16_t incumbent) noexcept {
     bool strictly_better = false;

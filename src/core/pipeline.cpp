@@ -20,7 +20,7 @@ LfpPipeline::LfpPipeline(probe::ProbeTransport& transport, PipelineConfig config
     : runner_(single_vantage_plan(transport, config)) {}
 
 Measurement LfpPipeline::measure(std::string name, std::span<const net::IPv4Address> targets) {
-    return runner_.measure(std::move(name), targets);
+    return runner_.measure_passes(std::move(name), targets, {}, 1);
 }
 
 SignatureDatabase LfpPipeline::build_database(std::span<const Measurement> measurements,

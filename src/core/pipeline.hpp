@@ -2,12 +2,12 @@
 // label via SNMPv3, build the signature database, classify.
 //
 // LfpPipeline is the classic single-transport entry point, kept as a thin
-// single-vantage wrapper over the CensusRunner (core/census.hpp) — whose
-// measure() is itself a collecting-sink adapter over the streaming engine —
-// so existing call sites keep compiling. New code — anything that wants
-// several vantage transports, explicit lane assignment, or incremental
-// record consumption — should build a CensusPlan and drive a CensusRunner
-// (run()/measure()/stream() with a RecordSink chain) directly.
+// single-vantage wrapper over the CensusRunner (core/census.hpp) — measure()
+// is a one-pass CensusRunner::measure_passes() — so existing call sites keep
+// compiling. New code — anything that wants several vantage transports,
+// explicit lane assignment, more passes, or incremental record consumption
+// — should build a CensusPlan and drive a CensusRunner (stream_passes()
+// with a RecordSink chain) directly.
 #pragma once
 
 #include <span>

@@ -38,6 +38,23 @@ std::array<char, kSpillHeaderBytes> spill_header() {
     return header;
 }
 
+/// Checks a segment's header; nullptr when intact, else why not.
+const char* header_error(std::istream& in) {
+    std::array<char, kSpillHeaderBytes> header{};
+    in.read(header.data(), static_cast<std::streamsize>(header.size()));
+    if (in.gcount() != static_cast<std::streamsize>(header.size()) ||
+        std::memcmp(header.data(), kSpillMagic, sizeof(kSpillMagic)) != 0) {
+        return "bad segment magic";
+    }
+    std::uint16_t version = 0;
+    std::uint16_t record_size = 0;
+    std::memcpy(&version, header.data() + 8, sizeof(version));
+    std::memcpy(&record_size, header.data() + 10, sizeof(record_size));
+    if (version != kSpillVersion) return "unsupported segment version";
+    if (record_size != kRecordBytes) return "segment record size mismatch";
+    return nullptr;
+}
+
 std::filesystem::path resolve_spill_directory(const SpillConfig& config) {
     if (!config.directory.empty()) return config.directory;
     if (const char* env = std::getenv("LFP_SPILL_DIR"); env != nullptr && *env != '\0') {
@@ -106,25 +123,26 @@ std::vector<SpillSink::SegmentInfo> SpillSink::segment_manifest() const {
     return manifest;
 }
 
-void SpillSink::adopt(std::vector<SegmentInfo> segments, std::vector<std::uint16_t> masks) {
+bool SpillSink::adopt(std::vector<SegmentInfo> segments, std::vector<std::uint16_t> masks) {
     if (!segments_.empty() || !tail_.empty() || !masks_.empty()) {
         throw std::runtime_error("spill sink: adopt() requires an empty sink");
     }
     std::size_t covered = 0;
     for (std::size_t i = 0; i < segments.size(); ++i) {
-        if (i + 1 < segments.size() && segments[i].records != config_.segment_records) {
-            spill_error("adopted non-final segment is not full", segments[i].path);
+        const SegmentInfo& info = segments[i];
+        if (i + 1 < segments.size() && info.records != config_.segment_records) return false;
+        std::error_code ec;
+        const std::uintmax_t size = std::filesystem::file_size(info.path, ec);
+        const std::uintmax_t body = size - kSpillHeaderBytes;
+        if (ec || size < kSpillHeaderBytes || body % kRecordBytes != 0 ||
+            body / kRecordBytes != info.records) {
+            return false;
         }
-        if (!std::filesystem::exists(segments[i].path)) {
-            spill_error("adopted segment is missing", segments[i].path);
-        }
-        covered += segments[i].records;
+        std::ifstream in(info.path, std::ios::binary);
+        if (header_error(in) != nullptr) return false;
+        covered += info.records;
     }
-    if (covered != masks.size()) {
-        throw std::runtime_error("spill sink: adopted segments cover " +
-                                 std::to_string(covered) + " records for " +
-                                 std::to_string(masks.size()) + " masks");
-    }
+    if (covered != masks.size()) return false;
     segments_.reserve(segments.size());
     for (SegmentInfo& info : segments) {
         Segment segment;
@@ -134,6 +152,7 @@ void SpillSink::adopt(std::vector<SegmentInfo> segments, std::vector<std::uint16
     }
     masks_ = std::move(masks);
     adopted_ = true;
+    return true;
 }
 
 void SpillSink::flush_tail() {
@@ -237,18 +256,7 @@ util::Result<std::vector<CompactRecord>> SpillSink::try_read_segment_file(
     };
     std::ifstream in(path, std::ios::binary);
     if (!in) return fail("cannot open segment");
-    std::array<char, kSpillHeaderBytes> header{};
-    in.read(header.data(), static_cast<std::streamsize>(header.size()));
-    if (in.gcount() != static_cast<std::streamsize>(header.size()) ||
-        std::memcmp(header.data(), kSpillMagic, sizeof(kSpillMagic)) != 0) {
-        return fail("bad segment magic");
-    }
-    std::uint16_t version = 0;
-    std::uint16_t record_size = 0;
-    std::memcpy(&version, header.data() + 8, sizeof(version));
-    std::memcpy(&record_size, header.data() + 10, sizeof(record_size));
-    if (version != kSpillVersion) return fail("unsupported segment version");
-    if (record_size != kRecordBytes) return fail("segment record size mismatch");
+    if (const char* error = header_error(in)) return fail(error);
 
     std::vector<CompactRecord> records;
     CompactRecord record;

@@ -1,15 +1,15 @@
 // Incremental record consumers: the streaming counterpart of the
-// materialise-everything Measurement. CensusRunner::stream() drives a
+// materialise-everything Measurement. CensusRunner::stream_passes() drives a
 // RecordSink with one fully assembled TargetRecord per target, in strictly
-// increasing global-index order, *while later targets are still being
-// probed* — so signature aggregation and classification overlap the census
-// instead of waiting behind it.
+// increasing global-index order — in a single-pass census *while later
+// targets are still being probed*, so signature aggregation and
+// classification overlap the census instead of waiting behind it.
 //
 // Sinks compose as a chain: each decorating sink does its per-record work
 // and forwards the record downstream (SignatureAbsorbSink feeds the
 // database, ClassifySink stamps record.lfp), with a CollectingSink at the
 // tail whenever the caller also wants the classic Measurement. The batch
-// entry points (CensusRunner::measure, LfpPipeline::measure,
+// entry points (CensusRunner::measure_passes, LfpPipeline::measure,
 // ExperimentWorld) are exactly that: thin adapters over a collecting sink.
 #pragma once
 
@@ -142,12 +142,11 @@ class SignatureAbsorbSink final : public RecordSink {
 /// parks a window slot for the full response timeout every pass and almost
 /// never converts.
 ///
-/// CensusRunner's multi-pass loop (stream_passes/run_passes) plants this
-/// sink at the head of the chain on pass 0 and feeds retry_indices() into
-/// pass 1 under shifted ID bases; later passes consult the static
-/// incomplete() predicate directly over the *merged* records (a MergeSink
-/// consumes the retry stream), so the merged state — not the raw retry
-/// result — decides what the next pass still re-probes.
+/// A single-pass CensusRunner::stream_passes() plants this sink at the head
+/// of the chain to tally what a second pass would re-probe. The multi-pass
+/// loop asks the mask form, incomplete_mask(), of every *stored* incumbent
+/// after each pass, so the merged state — not the raw retry result —
+/// decides what the next pass still re-probes.
 struct RetryOptions {
     /// Also retry targets that answered nothing at all. Off by default
     /// (silence is filtering-shaped, see RetrySink); turn it on for
@@ -302,6 +301,9 @@ class SpillSink final : public RecordSink {
 
     /// Overwrites the record at `global_index` (flushed segment or tail).
     void replace(std::uint64_t global_index, const CompactRecord& record);
+    void replace(std::uint64_t global_index, TargetRecord&& record) {
+        replace(global_index, CompactRecord::from_record(record));
+    }
 
     /// Reads one record back (seeks for flushed segments; RAM for the tail).
     [[nodiscard]] CompactRecord read(std::uint64_t global_index);
@@ -346,13 +348,15 @@ class SpillSink final : public RecordSink {
 
     /// Adopts segments a previous (killed) process wrote, together with the
     /// journaled response-mask index — the crash-resume entry point. The
-    /// sink must be empty; every non-final segment must hold exactly
-    /// `config.segment_records` records and the counts must sum to
-    /// `masks.size()` (throws std::runtime_error otherwise). Adopted
-    /// segments are never removed by the destructor regardless of
-    /// keep_segments — this sink did not create them alone, and a failed
-    /// resume must stay resumable.
-    void adopt(std::vector<SegmentInfo> segments, std::vector<std::uint16_t> masks);
+    /// sink must be empty (throws std::runtime_error otherwise). Returns
+    /// false and adopts nothing unless every segment is intact: a valid
+    /// spill header and a size of exactly header + records × record width,
+    /// every non-final segment holding `config.segment_records` records,
+    /// the counts summing to `masks.size()`. Adopted segments are never
+    /// removed by the destructor regardless of keep_segments — this sink
+    /// did not create them alone, and a failed resume must stay resumable.
+    [[nodiscard]] bool adopt(std::vector<SegmentInfo> segments,
+                             std::vector<std::uint16_t> masks);
 
     /// Parses one segment file. A truncated tail (crash mid-write) is
     /// tolerated: complete records parse, the partial trailing record is

@@ -52,6 +52,12 @@ std::vector<net::IPv4Address> world_targets(const sim::Topology& topology, std::
     return targets;
 }
 
+/// One pass over the plan's own name, target list and lane assignment.
+Measurement run_plan(CensusRunner& runner) {
+    const CensusPlan& plan = runner.plan();
+    return runner.measure_passes(plan.name, plan.targets, plan.assignment, 1);
+}
+
 /// Router-affinity keys: alias interfaces share their router's key; unknown
 /// addresses are independent singletons.
 std::vector<std::uint64_t> affinity_keys(const sim::Topology& topology,
@@ -140,11 +146,11 @@ TEST(CensusRunner, IdLanesDeriveFromGlobalIndex) {
     const std::vector<net::IPv4Address> first{net::IPv4Address::from_octets(10, 0, 0, 1),
                                               net::IPv4Address::from_octets(10, 0, 0, 2)};
     const std::vector<net::IPv4Address> second{net::IPv4Address::from_octets(10, 0, 0, 3)};
-    auto a = runner.measure("first", first);
-    auto b = runner.measure("second", second);
+    auto a = runner.measure_passes("first", first, {}, 1);
+    auto b = runner.measure_passes("second", second, {}, 1);
 
     // Target i of the run carries ipid_base + (global index) * 10, and a
-    // later measure() continues the lane where the previous one stopped —
+    // later measure_passes() continues the lane where the previous one stopped —
     // exactly like one long serial campaign.
     EXPECT_EQ(a.records[0].probes.probes[0][0].request_ipid, 0x9000);
     EXPECT_EQ(a.records[1].probes.probes[0][0].request_ipid, 0x9000 + 10);
@@ -165,7 +171,7 @@ TEST(CensusRunner, SingleVantageMatchesLfpPipeline) {
         plan.campaign.window = 16;
         plan.targets = world_targets(topology, 150);
         CensusRunner runner(std::move(plan));
-        return runner.run();
+        return run_plan(runner);
     }();
 
     auto pipeline = [&] {
@@ -206,7 +212,7 @@ TEST(CensusRunner, MultiVantageMergeIsByteIdenticalUnderLossAndJitter) {
                                                vantage_count);
         plan.worker_threads = 4;
         CensusRunner runner(std::move(plan));
-        return runner.run();
+        return run_plan(runner);
     };
 
     const auto serial = run_with(1, 1);
@@ -244,7 +250,7 @@ TEST(CensusRunner, DefaultAssignmentPinsDuplicateAddressesToOneLane) {
         plan.targets.insert(plan.targets.begin() + 1, plan.targets.front());
         plan.targets.push_back(plan.targets.front());
         CensusRunner runner(std::move(plan));
-        return runner.run();
+        return run_plan(runner);
     };
 
     const auto serial = run_with(1, 1);
@@ -287,7 +293,7 @@ TEST(CensusRunner, Ripe5FourVantagesMatchSerialRun) {
         plan.assignment =
             CensusPlan::assignment_by_affinity(affinity_keys(topology, targets), vantage_count);
         CensusRunner runner(std::move(plan));
-        return runner.run();
+        return run_plan(runner);
     };
 
     const auto serial = run_with(1, 1);
@@ -313,7 +319,7 @@ class ShardedStages : public ::testing::Test {
             plan.campaign.window = 32;
             plan.targets = world_targets(topology, 600, 1);
             CensusRunner runner(std::move(plan));
-            return runner.run();
+            return run_plan(runner);
         }();
         return instance;
     }

@@ -119,8 +119,12 @@ TEST(CompactRecord, MaskMergeRuleProperties) {
     for (std::uint32_t mask = 0; mask < 1024; ++mask) {
         const auto bits = static_cast<std::uint16_t>(mask);
         EXPECT_FALSE(core::mask_merge_improves(bits, bits));
-        if (bits != 0x3FF) EXPECT_TRUE(core::mask_merge_improves(0x3FF, bits));
-        if (bits != 0) EXPECT_FALSE(core::mask_merge_improves(0, bits));
+        if (bits != 0x3FF) {
+            EXPECT_TRUE(core::mask_merge_improves(0x3FF, bits));
+        }
+        if (bits != 0) {
+            EXPECT_FALSE(core::mask_merge_improves(0, bits));
+        }
     }
     // Sideways trade: ICMP round 0 for ICMP round 1 is not an improvement
     // in either direction.

@@ -24,6 +24,8 @@ struct IpidCase {
     IpidClass expected;
     const char* why;
 };
+// Stable ctest names: the default printer would dump the vector's and pointer's bytes.
+void PrintTo(const IpidCase& c, std::ostream* os) { *os << c.why; }
 
 class IpidClassification : public ::testing::TestWithParam<IpidCase> {};
 

@@ -379,7 +379,7 @@ TEST(FaultedCensus, HeavyCorruptionNeverCrashesAndCountsInjections) {
     census.campaign.window = 16;
     core::CensusRunner runner(std::move(census));
     const auto targets = world_targets(world.topology, 200);
-    const core::Measurement measurement = runner.measure("faulted", targets);
+    const core::Measurement measurement = runner.measure_passes("faulted", targets, {}, 1);
 
     ASSERT_EQ(measurement.records.size(), targets.size());
     EXPECT_GT(faulty.truncated(), 0u);
@@ -414,7 +414,7 @@ TEST(FaultedCensus, IdenticallySeededFaultedRunsAreByteIdentical) {
         census.vantages.push_back(&faulty);
         census.campaign.window = 16;
         core::CensusRunner runner(std::move(census));
-        return runner.measure("faulted", world_targets(world.topology, 150));
+        return runner.measure_passes("faulted", world_targets(world.topology, 150), {}, 1);
     };
     const core::Measurement first = run_once();
     const core::Measurement second = run_once();
@@ -431,7 +431,7 @@ TEST(FaultedCensus, SendLossLowersCoverageButCompletes) {
     clean_plan.campaign.window = 16;
     core::CensusRunner clean_runner(std::move(clean_plan));
     const auto clean =
-        clean_runner.measure("clean", world_targets(clean_world.topology, 150));
+        clean_runner.measure_passes("clean", world_targets(clean_world.topology, 150), {}, 1);
 
     FaultWorld world;
     probe::SimTransport inner(world.internet);
@@ -442,7 +442,8 @@ TEST(FaultedCensus, SendLossLowersCoverageButCompletes) {
     census.vantages.push_back(&faulty);
     census.campaign.window = 16;
     core::CensusRunner runner(std::move(census));
-    const auto lossy = runner.measure("lossy", world_targets(world.topology, 150));
+    const auto lossy =
+        runner.measure_passes("lossy", world_targets(world.topology, 150), {}, 1);
 
     EXPECT_GT(faulty.send_faults(), 0u);
     ASSERT_EQ(lossy.records.size(), clean.records.size());
@@ -472,8 +473,8 @@ TEST(Watchdog, WedgedLaneRequeuesOntoSurvivorByteIdentically) {
     reference_plan.vantages = {&ref_lane0, &ref_lane1};
     reference_plan.campaign.window = 16;
     core::CensusRunner reference_runner(std::move(reference_plan));
-    const auto reference = reference_runner.measure(
-        "census", world_targets(reference_world.topology, target_count));
+    const auto reference = reference_runner.measure_passes(
+        "census", world_targets(reference_world.topology, target_count), {}, 1);
 
     // Faulted: the same plan, lane 1 wedged from birth — it swallows its
     // sends before the (stateful) inner transport, so its targets' routers
@@ -491,7 +492,7 @@ TEST(Watchdog, WedgedLaneRequeuesOntoSurvivorByteIdentically) {
     plan.watchdog = 400ms;
     core::CensusRunner runner(std::move(plan));
     const auto supervised =
-        runner.measure("census", world_targets(world.topology, target_count));
+        runner.measure_passes("census", world_targets(world.topology, target_count), {}, 1);
 
     EXPECT_EQ(runner.lanes_recovered(), 1u);
     EXPECT_GT(lane1.swallowed_by_wedge(), 0u);
@@ -520,7 +521,7 @@ TEST(Watchdog, LastLaneWedgingThrowsInsteadOfSpinning) {
     plan.watchdog = 200ms;
     core::CensusRunner runner(std::move(plan));
     try {
-        (void)runner.measure("census", world_targets(world.topology, 20));
+        (void)runner.measure_passes("census", world_targets(world.topology, 20), {}, 1);
         FAIL() << "expected std::runtime_error";
     } catch (const std::runtime_error& error) {
         EXPECT_NE(std::string(error.what()).find("watchdog"), std::string::npos)
@@ -540,7 +541,8 @@ TEST(Watchdog, EnvKnobEnablesSupervisionWhenThePlanLeavesItZero) {
     plan.vantages = {&lane0, &lane1};
     plan.campaign.window = 16;  // plan.watchdog stays 0 — the env supplies it
     core::CensusRunner runner(std::move(plan));
-    const auto measurement = runner.measure("census", world_targets(world.topology, 60));
+    const auto measurement =
+        runner.measure_passes("census", world_targets(world.topology, 60), {}, 1);
     EXPECT_EQ(runner.lanes_recovered(), 1u);
     EXPECT_EQ(measurement.records.size(), 60u);
 }
@@ -552,7 +554,7 @@ TEST(Watchdog, UnparseableEnvKnobThrows) {
     core::CensusPlan plan;
     plan.vantages.push_back(&transport);
     core::CensusRunner runner(std::move(plan));
-    EXPECT_THROW((void)runner.measure("census", world_targets(world.topology, 5)),
+    EXPECT_THROW((void)runner.measure_passes("census", world_targets(world.topology, 5), {}, 1),
                  std::invalid_argument);
 }
 

@@ -91,6 +91,8 @@ struct BadLineCase {
     const char* line;
     const char* why;
 };
+// Stable ctest names: the default printer would dump the pointers' bytes.
+void PrintTo(const BadLineCase& c, std::ostream* os) { *os << c.why; }
 class SignatureStoreBadInput : public ::testing::TestWithParam<BadLineCase> {};
 
 TEST_P(SignatureStoreBadInput, Rejects) {

@@ -127,9 +127,7 @@ TEST(MultiPass, TwoPassRunIsByteDeterministic) {
 
 TEST(MultiPass, ConvergesToStrictlyMoreFullSignaturesThanOnePass) {
     // The acceptance property: on a lossy sim, 2 passes complete strictly
-    // more signatures than 1 pass over the identical target list, and a
-    // single-pass run through the multi-pass entry point is byte-identical
-    // to the classic measure().
+    // more signatures than 1 pass over the identical target list.
     LossyWorld world_one(0.03);
     LossyWorld world_two(0.03);
     const auto one_pass = run_passes_over(world_one, 1);
@@ -178,8 +176,7 @@ TEST(MultiPass, ConvergesToStrictlyMoreFullSignaturesThanOnePass) {
 }
 
 TEST(MultiPass, MeasurePassesDefaultsToPlanPassCount) {
-    // Omitting the passes argument must honor the plan's configured count,
-    // exactly like run_passes().
+    // Omitting the passes argument must honor the plan's configured count.
     LossyWorld world(0.03);
     PassHarness harness(world, 2);
     const auto measurement =
@@ -187,21 +184,6 @@ TEST(MultiPass, MeasurePassesDefaultsToPlanPassCount) {
     EXPECT_EQ(measurement.records.size(), 250u);
     EXPECT_EQ(harness.runner->last_pass_stats().size(), 2u)
         << "plan.passes = 2 must drive two passes when the argument is omitted";
-}
-
-TEST(MultiPass, SinglePassEntryPointMatchesMeasure) {
-    LossyWorld world_a(0.03);
-    LossyWorld world_b(0.03);
-    const auto classic = [&] {
-        probe::SimTransport transport(world_a.internet);
-        core::CensusPlan plan;
-        plan.vantages = {&transport};
-        plan.campaign.window = 16;
-        core::CensusRunner runner(std::move(plan));
-        return runner.measure("multipass", world_targets(world_a.topology, 250));
-    }();
-    const auto through_passes = run_passes_over(world_b, 1);
-    EXPECT_EQ(classic, through_passes);
 }
 
 TEST(MultiPass, MultiVantageMultiPassMatchesSingleVantage) {

@@ -27,6 +27,9 @@ TEST(IPv4Address, ParseValid) {
 struct BadAddressCase {
     const char* text;
 };
+// Names the case by its input; without this GoogleTest prints the pointer's bytes, which
+// change with every run and so rename the discovered ctest cases.
+void PrintTo(const BadAddressCase& c, std::ostream* os) { *os << '\'' << c.text << '\''; }
 class IPv4AddressBadParse : public ::testing::TestWithParam<BadAddressCase> {};
 
 TEST_P(IPv4AddressBadParse, Rejects) {

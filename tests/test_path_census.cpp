@@ -354,8 +354,9 @@ TEST(PathTargets, MultiPassMergeNeverRegressesDuplicateHops) {
         core::CensusRunner runner(std::move(plan));
         const analysis::PathCensus census(world.topology, config);
         const analysis::PathDiscovery discovery = census.discover();
-        return runner.measure_paths("paths", discovery.hop_lists(), discovery.trace_source,
-                                    passes);
+        core::CollectingSink sink("paths");
+        runner.stream_paths(discovery.hop_lists(), discovery.trace_source, passes, sink);
+        return sink.take();
     };
 
     const core::Measurement single = run(1);

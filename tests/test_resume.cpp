@@ -7,8 +7,10 @@
 
 #include <chrono>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -131,8 +133,69 @@ TEST(CheckpointManifest, RejectsDamageInsteadOfResumingWrong) {
     rewrite(bad_magic);
     EXPECT_FALSE(core::read_manifest(dir.path()).has_value());
 
+    // Segment names must be single plain file names: an absolute path or
+    // any path component would aim the resumed census's in-place upgrades,
+    // drain and cleanup at a file outside the checkpoint directory.
+    for (const std::string name :
+         {"/elsewhere/x.seg", "../escape.seg", "sub/dir.seg", "", ".", ".."}) {
+        core::CensusManifest named = sample_manifest();
+        named.segments[1].first = name;
+        core::write_manifest(dir.path(), named);
+        EXPECT_FALSE(core::read_manifest(dir.path()).has_value()) << "segment '" << name << "'";
+    }
+
+    // Retry lists index the target list on replay: every entry must lie in
+    // [index_base, index_base + target_count) = [7, 12), and no list may be
+    // longer than the census.
+    for (const std::vector<std::uint64_t>& list :
+         {std::vector<std::uint64_t>{8, 12}, std::vector<std::uint64_t>{6, 8},
+          std::vector<std::uint64_t>{7, 8, 9, 10, 11, 11}}) {
+        core::CensusManifest listed = sample_manifest();
+        listed.retry_lists = {list};
+        core::write_manifest(dir.path(), listed);
+        EXPECT_FALSE(core::read_manifest(dir.path()).has_value())
+            << "retry list of " << list.size() << " starting at " << list.front();
+    }
+
+    // A length field claiming more than the bytes left in the file is
+    // rejected before anything is sized from it. Offsets follow
+    // write_manifest's layout: 40 header bytes (magic, index_base,
+    // target_count, segment_records, completed_passes, segment count),
+    // then per segment a u64 count, a u32 name length and the name.
+    const core::CensusManifest sample = sample_manifest();
+    std::size_t masks_at = 40;
+    for (const auto& [name, records] : sample.segments) masks_at += 12 + name.size();
+    const std::size_t lists_at = masks_at + 8 + 2 * sample.masks.size() + 4 +
+                                 24 * sample.pass_stats.size();
+    auto patch = [](std::vector<char> content, std::size_t offset, auto value) {
+        std::memcpy(&content[offset], &value, sizeof(value));
+        return content;
+    };
+    const std::uint64_t huge = std::uint64_t{1} << 40;
+    const std::uint32_t huge32 = 0xFFFFFFFFu;
+    rewrite(patch(bytes, 36, huge32));  // segment count
+    EXPECT_FALSE(core::read_manifest(dir.path()).has_value()) << "segment count";
+    rewrite(patch(patch(bytes, 16, huge), masks_at, huge));  // target and mask count
+    EXPECT_FALSE(core::read_manifest(dir.path()).has_value()) << "mask count";
+    rewrite(patch(bytes, lists_at + 4, huge));  // first retry list's length
+    EXPECT_FALSE(core::read_manifest(dir.path()).has_value()) << "retry list length";
+
+    // A list count of 2^32 - 1 with zero completed passes must not wrap
+    // into "one list per completed retry pass".
+    core::CensusManifest empty = sample_manifest();
+    empty.completed_passes = 0;
+    empty.pass_stats.clear();
+    empty.retry_lists.clear();
+    core::write_manifest(dir.path(), empty);
+    {
+        std::ifstream empty_in(file, std::ios::binary);
+        bytes.assign(std::istreambuf_iterator<char>(empty_in), std::istreambuf_iterator<char>());
+    }
+    rewrite(patch(bytes, masks_at + 8 + 2 * empty.masks.size() + 4, huge32));
+    EXPECT_FALSE(core::read_manifest(dir.path()).has_value()) << "list count";
+
     // The intact bytes still parse (the damage above was the problem).
-    rewrite(bytes);
+    core::write_manifest(dir.path(), sample);
     EXPECT_TRUE(core::read_manifest(dir.path()).has_value());
 }
 
@@ -324,6 +387,71 @@ TEST(CrashResume, Sigkilled9CensusResumesByteIdentically) {
         if (entry.path().extension() == ".seg") ++leftover_segments;
     }
     EXPECT_EQ(leftover_segments, 0u);
+}
+
+/// Writes a valid spill segment of `records` records to `path`.
+void write_segment(const std::filesystem::path& path, std::size_t records) {
+    core::SpillConfig config;
+    config.directory = path.parent_path().string();
+    config.keep_segments = true;
+    core::SpillSink sink(config);
+    for (std::uint64_t g = 0; g < records; ++g) {
+        sink.accept(g, record_for(0x0A000000u + static_cast<std::uint32_t>(g), 0));
+    }
+    sink.flush();
+    std::filesystem::rename(sink.segment_manifest().front().path, path);
+}
+
+std::string file_bytes(const std::filesystem::path& path) {
+    std::ifstream in(path, std::ios::binary);
+    return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+TEST(CrashResume, ManifestNamingForeignOrDamagedSegmentsStartsOver) {
+    // Resume adopts only what it has checked. A manifest of the right shape
+    // naming a segment outside the checkpoint directory (by absolute path),
+    // or an in-directory segment with a damaged header, must not be
+    // adopted: the census starts over, never touches that file, and
+    // produces the uninterrupted run's output.
+    const ResumePlanShape shape{.targets = 100, .passes = 2};
+    const core::Measurement reference = run_census("", shape);
+    ASSERT_EQ(reference.records.size(), 100u);
+
+    ScratchDir outside("resume-outside");
+    const std::filesystem::path foreign = outside.path() / "sentinel.seg";
+    write_segment(foreign, 64);  // intact: only its location is wrong
+
+    for (const bool absolute : {true, false}) {
+        SCOPED_TRACE(absolute ? "absolute segment name" : "bad segment magic");
+        ScratchDir dir("resume-untrusted");
+        std::filesystem::path sentinel = foreign;
+        if (!absolute) {
+            sentinel = dir.path() / "bad-magic.seg";
+            write_segment(sentinel, 64);
+            std::fstream corrupt(sentinel, std::ios::binary | std::ios::in | std::ios::out);
+            corrupt.put('X');
+        }
+        write_segment(dir.path() / "stale-1.seg", 36);
+
+        core::CensusManifest manifest;
+        manifest.target_count = 100;
+        manifest.segment_records = 64;
+        manifest.completed_passes = 1;
+        manifest.segments = {{absolute ? sentinel.string() : sentinel.filename().string(), 64},
+                             {"stale-1.seg", 36}};
+        manifest.masks.assign(100, 0x001);  // loss-shaped: all retried
+        manifest.pass_stats = {{.probed = 100, .upgraded = 0, .incomplete = 100}};
+        core::write_manifest(dir.path(), manifest);
+        const std::string before = file_bytes(sentinel);
+
+        bool resumed = true;
+        const core::Measurement measurement = run_census(dir.path().string(), shape, &resumed);
+        EXPECT_FALSE(resumed);
+        EXPECT_EQ(measurement, reference);
+        ASSERT_TRUE(std::filesystem::exists(sentinel));
+        EXPECT_EQ(file_bytes(sentinel), before);
+        EXPECT_FALSE(core::read_manifest(dir.path()).has_value());
+    }
 }
 
 TEST(CrashResume, ManifestFromADifferentRunIsIgnored) {

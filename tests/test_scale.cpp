@@ -9,8 +9,10 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <memory>
 #include <new>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -57,20 +59,39 @@ std::vector<net::IPv4Address> scale_targets(std::size_t count) {
     return targets;
 }
 
-core::Measurement run_scale_census(std::size_t target_count, bool spill,
+/// One census shape over the deterministic ScaleTransport world.
+struct ScaleShape {
+    std::size_t targets = 100'000;
+    std::size_t passes = 2;
+    std::size_t vantages = 1;
+    /// Explicit lane assignment (runs of three targets per lane, cycling)
+    /// instead of the default backend-hint grouping.
+    bool assigned = false;
+};
+
+core::Measurement run_scale_census(const ScaleShape& shape, bool spill,
                                    std::vector<core::PassStats>* stats_out = nullptr) {
-    sim::ScaleTransport transport(
-        {.seed = 42, .responsive_fraction = 0.6, .loss_rate = 0.03});
+    std::vector<std::unique_ptr<sim::ScaleTransport>> transports;
     core::CensusPlan plan;
-    plan.vantages = {&transport};
+    for (std::size_t v = 0; v < shape.vantages; ++v) {
+        transports.push_back(std::make_unique<sim::ScaleTransport>(
+            sim::ScaleWorldConfig{.seed = 42, .responsive_fraction = 0.6, .loss_rate = 0.03}));
+        plan.vantages.push_back(transports.back().get());
+    }
     plan.campaign.window = 128;
-    plan.passes = 2;
+    plan.passes = shape.passes;
     plan.spill = spill;
     plan.spill_config.segment_records = 1 << 12;  // force many segments
+    std::vector<std::uint32_t> assignment;
+    if (shape.assigned) {
+        for (std::size_t i = 0; i < shape.targets; ++i) {
+            assignment.push_back(static_cast<std::uint32_t>((i / 3) % shape.vantages));
+        }
+    }
     core::CensusRunner runner(std::move(plan));
 
     core::CollectingSink sink("scale");
-    runner.stream_passes(scale_targets(target_count), {}, 2, sink);
+    runner.stream_passes(scale_targets(shape.targets), assignment, shape.passes, sink);
     if (stats_out != nullptr) *stats_out = runner.last_pass_stats();
     return sink.take();
 }
@@ -87,48 +108,56 @@ core::SignatureDatabase absorb_database(const core::Measurement& measurement) {
 }
 
 TEST(ScaleCensus, SpillPathMatchesInMemoryPathOnMultiPassWorld) {
-    // The acceptance property: a 100k-target, 2-pass census over the
+    // The acceptance property: a multi-pass census over the
     // deterministic ScaleTransport world produces byte-identical derived
-    // artifacts whether the record set lives in RAM or spills to disk.
+    // artifacts whether the record set lives in RAM or spills to disk —
+    // for a single-lane 2-pass census, and for a 3-pass census over two
+    // vantage lanes with an explicit lane assignment.
     // (The raw packet bytes are the one permitted difference — the spill
     // path drops them by design — so equality is asserted on the compact
     // projection, which carries everything downstream consumers read.)
-    constexpr std::size_t kTargets = 100'000;
-    std::vector<core::PassStats> memory_stats;
-    std::vector<core::PassStats> spill_stats;
-    const auto in_memory = run_scale_census(kTargets, false, &memory_stats);
-    const auto spilled = run_scale_census(kTargets, true, &spill_stats);
+    const ScaleShape lanes{.targets = 50'000, .passes = 3, .vantages = 2, .assigned = true};
+    for (const ScaleShape& shape : {ScaleShape{}, lanes}) {
+        SCOPED_TRACE(std::to_string(shape.passes) + " passes, " +
+                     std::to_string(shape.vantages) + " vantages");
+        const std::size_t kTargets = shape.targets;
+        std::vector<core::PassStats> memory_stats;
+        std::vector<core::PassStats> spill_stats;
+        const auto in_memory = run_scale_census(shape, false, &memory_stats);
+        const auto spilled = run_scale_census(shape, true, &spill_stats);
 
-    ASSERT_EQ(in_memory.records.size(), kTargets);
-    ASSERT_EQ(spilled.records.size(), kTargets);
-    EXPECT_EQ(memory_stats, spill_stats);
+        ASSERT_EQ(in_memory.records.size(), kTargets);
+        ASSERT_EQ(spilled.records.size(), kTargets);
+        EXPECT_EQ(memory_stats, spill_stats);
+        EXPECT_EQ(memory_stats.size(), shape.passes);
 
-    std::size_t retried = 0;
-    for (std::size_t g = 0; g < kTargets; ++g) {
-        ASSERT_EQ(core::CompactRecord::from_record(in_memory.records[g]),
-                  core::CompactRecord::from_record(spilled.records[g]))
-            << "target " << g;
-        if (spilled.records[g].pass > 0) ++retried;
+        std::size_t retried = 0;
+        for (std::size_t g = 0; g < kTargets; ++g) {
+            ASSERT_EQ(core::CompactRecord::from_record(in_memory.records[g]),
+                      core::CompactRecord::from_record(spilled.records[g]))
+                << "target " << g;
+            if (spilled.records[g].pass > 0) ++retried;
+        }
+        EXPECT_GT(retried, 0u) << "at 3% loss the retry pass must have upgraded records, "
+                                  "or the multi-pass half of the equivalence is untested";
+
+        // Classification CSVs are byte-identical (pass provenance included).
+        std::ostringstream memory_csv;
+        std::ostringstream spill_csv;
+        io::export_measurement_csv(memory_csv, in_memory);
+        io::export_measurement_csv(spill_csv, spilled);
+        EXPECT_EQ(memory_csv.str(), spill_csv.str());
+
+        // Signature databases serialize byte-identically too.
+        const auto memory_db = absorb_database(in_memory);
+        const auto spill_db = absorb_database(spilled);
+        std::ostringstream memory_store;
+        std::ostringstream spill_store;
+        io::save_signatures(memory_store, memory_db, memory_stats);
+        io::save_signatures(spill_store, spill_db, spill_stats);
+        EXPECT_GT(memory_db.signatures().size(), 0u);
+        EXPECT_EQ(memory_store.str(), spill_store.str());
     }
-    EXPECT_GT(retried, 0u) << "at 3% loss the retry pass must have upgraded records, "
-                              "or the multi-pass half of the equivalence is untested";
-
-    // Classification CSVs are byte-identical (pass provenance included).
-    std::ostringstream memory_csv;
-    std::ostringstream spill_csv;
-    io::export_measurement_csv(memory_csv, in_memory);
-    io::export_measurement_csv(spill_csv, spilled);
-    EXPECT_EQ(memory_csv.str(), spill_csv.str());
-
-    // Signature databases serialize byte-identically too.
-    const auto memory_db = absorb_database(in_memory);
-    const auto spill_db = absorb_database(spilled);
-    std::ostringstream memory_store;
-    std::ostringstream spill_store;
-    io::save_signatures(memory_store, memory_db, memory_stats);
-    io::save_signatures(spill_store, spill_db, spill_stats);
-    EXPECT_GT(memory_db.signatures().size(), 0u);
-    EXPECT_EQ(memory_store.str(), spill_store.str());
 }
 
 // ---------------------------------------------------------------------------
@@ -302,7 +331,7 @@ TEST(ScaleCensus, SlowConsumerDoesNotBusySpinTheEngine) {
     SleepySink sink;
     const double cpu_before = process_cpu_seconds();
     const auto wall_before = std::chrono::steady_clock::now();
-    runner.stream(scale_targets(400), {}, sink);
+    runner.stream_passes(scale_targets(400), {}, 1, sink);
     const double wall =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_before)
             .count();

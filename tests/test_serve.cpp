@@ -228,7 +228,8 @@ TEST(ServeByteIdentity, SnapshotAnswersMatchBatchClassifications) {
     // serving world cannot simply be probed again).
     ServeWorld batch_world;
     core::CensusRunner runner(batch_world.plan());
-    core::Measurement measurement = runner.run_passes();
+    core::Measurement measurement =
+        runner.measure_passes(runner.plan().name, runner.plan().targets);
     const core::SignatureDatabase database =
         runner.build_database(std::span<const core::Measurement>(&measurement, 1));
     runner.classify(measurement, database);

@@ -1,7 +1,7 @@
 // Tests for the streaming census engine: adaptive-window convergence under
 // the sim's loss/rate-limit profiles (and its byte-neutrality — the AIMD
-// trajectory must never change results), CensusRunner::stream() vs the
-// materialised measure() on the RIPE-5 dataset, the record-sink chain vs
+// trajectory must never change results), CensusRunner::stream_passes() vs
+// the materialised measure_passes() on the RIPE-5 dataset, the record-sink chain vs
 // the batch build_database/classify stages, backend-hint default lane
 // grouping, and the SynchronousTransport poll contract.
 #include <gtest/gtest.h>
@@ -247,14 +247,15 @@ TEST(Streaming, SinkFailurePropagatesAndCancelsLanes) {
 
     const auto targets = world_targets(topology, 120);
     FusedSink sink(3);
-    EXPECT_THROW(runner.stream(targets, {}, sink), std::runtime_error);
+    EXPECT_THROW(runner.stream_passes(targets, {}, 1, sink), std::runtime_error);
     EXPECT_EQ(sink.accepted(), 3u);
 }
 
 TEST(Streaming, StreamMatchesMaterialisedMeasureOnRipe5) {
     // The acceptance scenario: the RIPE-5 snapshot streamed through a
     // 4-vantage CensusRunner into a CollectingSink must equal both the
-    // materialised 4-vantage measure() and the single-vantage serial run.
+    // materialised 4-vantage measure_passes() and the single-vantage serial
+    // run.
     const sim::TopologyConfig topo_config{
         .seed = 23, .num_ases = 300, .tier1_count = 8, .transit_fraction = 0.18, .scale = 0.5};
     const sim::Topology reference = sim::Topology::build(topo_config);
@@ -284,7 +285,7 @@ TEST(Streaming, StreamMatchesMaterialisedMeasureOnRipe5) {
         sim::Internet internet(topology, {.seed = 31, .loss_rate = 0.004});
         std::vector<std::unique_ptr<probe::SimTransport>> transports;
         core::CensusRunner runner(plan_with(internet, transports, vantage_count, window));
-        return runner.measure("RIPE-5", targets);
+        return runner.measure_passes("RIPE-5", targets, {}, 1);
     };
 
     auto streamed = [&](std::size_t vantage_count, std::size_t window) {
@@ -293,7 +294,7 @@ TEST(Streaming, StreamMatchesMaterialisedMeasureOnRipe5) {
         std::vector<std::unique_ptr<probe::SimTransport>> transports;
         core::CensusRunner runner(plan_with(internet, transports, vantage_count, window));
         core::CollectingSink sink("RIPE-5");
-        runner.stream(targets, {}, sink);
+        runner.stream_passes(targets, {}, 1, sink);
         return sink.take();
     };
 
@@ -328,7 +329,7 @@ TEST(Streaming, SinkChainMatchesBatchStages) {
     std::vector<std::unique_ptr<probe::SimTransport>> transports_a;
     auto runner_a = fresh_runner(transports_a, topo_a, net_a);
     const auto targets = world_targets(*topo_a, 600);
-    auto batch = runner_a->measure("sink-chain", targets);
+    auto batch = runner_a->measure_passes("sink-chain", targets, {}, 1);
     const auto database =
         core::LfpPipeline::build_database({&batch, 1}, {.min_occurrences = 3});
     core::LfpPipeline::classify_measurement(batch, database);
@@ -343,7 +344,7 @@ TEST(Streaming, SinkChainMatchesBatchStages) {
     core::CollectingSink collect("sink-chain");
     core::ClassifySink classify(database, {}, &collect);
     core::SignatureAbsorbSink absorb(streamed_db, &classify);
-    runner_b->stream(targets, {}, absorb);
+    runner_b->stream_passes(targets, {}, 1, absorb);
     streamed_db.finalize();
     auto streamed = collect.take();
 
@@ -381,7 +382,8 @@ TEST(Streaming, BackendHintGroupsAliasInterfacesByDefault) {
         plan.targets = world_targets(topology, 600, 2);
         plan.worker_threads = 4;
         core::CensusRunner runner(std::move(plan));
-        return runner.run();
+        const core::CensusPlan& own = runner.plan();
+        return runner.measure_passes(own.name, own.targets, own.assignment, 1);
     };
 
     const auto serial = run_with(1, 1);

@@ -242,7 +242,8 @@ int main(int argc, char** argv) {
         }
 
         core::CensusRunner runner(std::move(plan));
-        const core::Measurement measurement = runner.run_passes();
+        const core::Measurement measurement =
+            runner.measure_passes(runner.plan().name, runner.plan().targets);
 
         if (runner.resumed_from_checkpoint()) {
             std::cerr << "lfp_census: resumed from checkpoint in " << args.checkpoint_dir

@@ -121,7 +121,7 @@ struct World {
 bool write_batch_csv(const ServeArgs& args, const std::string& path) {
     World world(args);
     core::CensusRunner runner(world.plan(args));
-    core::Measurement measurement = runner.run_passes();
+    core::Measurement measurement = runner.measure_passes(runner.plan().name, runner.plan().targets);
     const core::SignatureDatabase database =
         runner.build_database(std::span<const core::Measurement>(&measurement, 1));
     runner.classify(measurement, database);
