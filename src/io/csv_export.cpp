@@ -19,16 +19,22 @@ std::string csv_escape(std::string_view field) {
 }
 
 void export_measurement_csv(std::ostream& out, const core::Measurement& measurement) {
+    write_measurement_csv_header(out);
+    for (const auto& record : measurement.records) write_measurement_csv_row(out, record);
+}
+
+void write_measurement_csv_header(std::ostream& out) {
     out << "ip,responsive_protocols,snmp_vendor,lfp_vendor,match_kind,pass,signature\n";
-    for (const auto& record : measurement.records) {
-        out << record.probes.target.to_string() << ','
-            << record.probes.responsive_protocol_count() << ','
-            << (record.snmp_vendor ? stack::to_string(*record.snmp_vendor) : "") << ','
-            << (record.lfp.vendor ? stack::to_string(*record.lfp.vendor) : "") << ','
-            << core::to_string(record.lfp.kind) << ','
-            << record.pass << ','
-            << csv_escape(record.signature.key()) << '\n';
-    }
+}
+
+void write_measurement_csv_row(std::ostream& out, const core::TargetRecord& record) {
+    out << record.probes.target.to_string() << ','
+        << record.probes.responsive_protocol_count() << ','
+        << (record.snmp_vendor ? stack::to_string(*record.snmp_vendor) : "") << ','
+        << (record.lfp.vendor ? stack::to_string(*record.lfp.vendor) : "") << ','
+        << core::to_string(record.lfp.kind) << ','
+        << record.pass << ','
+        << csv_escape(record.signature.key()) << '\n';
 }
 
 void export_pass_stats_csv(std::ostream& out, std::span<const core::PassStats> stats) {

@@ -18,6 +18,11 @@ namespace lfp::io {
 /// first-pass answers and single-pass censuses).
 void export_measurement_csv(std::ostream& out, const core::Measurement& measurement);
 
+/// The header line and one record's row of export_measurement_csv, for
+/// writers that produce records one at a time.
+void write_measurement_csv_header(std::ostream& out);
+void write_measurement_csv_row(std::ostream& out, const core::TargetRecord& record);
+
 /// One row per census pass: pass,probed,upgraded,incomplete — the retry
 /// trajectory of a multi-pass run (CensusRunner::last_pass_stats()).
 void export_pass_stats_csv(std::ostream& out, std::span<const core::PassStats> stats);

@@ -69,6 +69,17 @@ void PassScheduler::trigger() {
     cv_.notify_all();
 }
 
+void PassScheduler::post(std::function<void()> job) {
+    bool need_start = false;
+    {
+        std::lock_guard<std::mutex> guard(mutex_);
+        jobs_.push_back(std::move(job));
+        need_start = !running_;
+    }
+    if (need_start) start();
+    cv_.notify_all();
+}
+
 std::uint64_t PassScheduler::passes_completed() const {
     std::lock_guard<std::mutex> guard(mutex_);
     return completed_;
@@ -80,23 +91,40 @@ bool PassScheduler::wait_for_passes(std::uint64_t count, std::chrono::millisecon
 }
 
 void PassScheduler::run() {
+    using Clock = std::chrono::steady_clock;
     std::unique_lock<std::mutex> lock(mutex_);
+    const auto woken = [this] { return stop_requested_ || trigger_pending_ || !jobs_.empty(); };
+    // Recurring mode: a pass falls due one interval after the previous
+    // pass; posted jobs run in between without moving that deadline.
+    Clock::time_point next_timed = Clock::now() + options_.interval;
     while (true) {
+        bool timed_out = false;
         if (options_.interval.count() > 0) {
-            // Recurring mode: wake on the timer, a trigger, or stop.
-            cv_.wait_for(lock, options_.interval,
-                         [this] { return stop_requested_ || trigger_pending_; });
-            if (stop_requested_) return;
-            // A timer expiry with no explicit trigger is itself a pass.
-            trigger_pending_ = false;
+            timed_out = !cv_.wait_until(lock, next_timed, woken);
         } else {
-            cv_.wait(lock, [this] { return stop_requested_ || trigger_pending_; });
-            if (stop_requested_) return;
-            trigger_pending_ = false;
+            cv_.wait(lock, woken);
+        }
+        std::function<void()> job;
+        if (!jobs_.empty()) {
+            // Posted jobs first, even once stop() is asked for: each one is
+            // a request that is still owed its answer.
+            job = std::move(jobs_.front());
+            jobs_.pop_front();
+        } else if (stop_requested_) {
+            return;
+        } else if (!timed_out && !trigger_pending_) {
+            continue;
+        } else {
+            trigger_pending_ = false;  // triggers from here on ask for one more pass
         }
         lock.unlock();
-        pass_();
+        if (job) {
+            job();
+        } else {
+            pass_();
+        }
         lock.lock();
+        if (!job) next_timed = Clock::now() + options_.interval;
         ++completed_;
         cv_.notify_all();
     }
@@ -141,6 +169,8 @@ void CensusService::stop() { scheduler_.stop(); }
 
 void CensusService::trigger() { scheduler_.trigger(); }
 
+void CensusService::post(std::function<void()> job) { scheduler_.post(std::move(job)); }
+
 std::uint64_t CensusService::run_census_now() {
     std::lock_guard<std::mutex> guard(census_mutex_);
     SnapshotBuilder builder({.name = config_.name,
@@ -156,7 +186,7 @@ std::uint64_t CensusService::run_census_now() {
     return version;
 }
 
-std::uint64_t CensusService::run_path_census_now() {
+PathCensusResult CensusService::run_path_census_now() {
     if (!config_.paths) {
         throw std::logic_error("CensusService: no path source configured for a path census");
     }
@@ -167,12 +197,18 @@ std::uint64_t CensusService::run_path_census_now() {
                              .classify = config_.classify,
                              .asn = config_.asn});
     runner_.stream_paths(sweep.paths, sweep.path_lane, config_.passes, builder);
+    const core::PathTargets& targets = runner_.last_path_targets();
+    PathCensusResult result{.paths = sweep.paths.size(),
+                            .targets = targets.targets.size(),
+                            .hops_listed = targets.hops_listed,
+                            .duplicates_collapsed = targets.duplicates_collapsed,
+                            .unroutable_dropped = targets.unroutable_dropped};
     builder.set_paths(std::move(sweep.paths));
     auto snapshot =
         builder.build(next_version_++, runner_.last_pass_stats(), &runner_.pool());
-    const std::uint64_t version = store_.publish(std::move(snapshot));
+    result.version = store_.publish(std::move(snapshot));
     published_.fetch_add(1, std::memory_order_relaxed);
-    return version;
+    return result;
 }
 
 bool CensusService::restore_latest() {

@@ -1,10 +1,10 @@
 // Census-as-a-service: the resident control plane. A CensusService owns a
 // CensusRunner, a SnapshotStore, and (optionally) a PassScheduler thread;
-// each census — scheduled or on-demand — streams through a fresh
-// SnapshotBuilder and publishes an immutable versioned Snapshot that the
-// QueryEngine answers from. Queries never wait on a running census: they
-// read the previously published snapshot through one atomic load, and the
-// new version swaps in only when fully built.
+// each census — scheduled, triggered, or posted by the serving loop —
+// streams through a fresh SnapshotBuilder and publishes an immutable
+// versioned Snapshot that the QueryEngine answers from. Queries never wait
+// on a running census: they read the previously published snapshot through
+// one atomic load, and the new version swaps in only when fully built.
 //
 // Environment knobs (ServiceConfig::from_env / default_socket_path):
 //   LFP_SERVE_INTERVAL_MS  recurring-pass period; 0 = on-demand only
@@ -16,6 +16,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -31,7 +32,9 @@ namespace lfp::serve {
 /// `interval` (recurring mode) and whenever trigger() is called (on-demand;
 /// an interval of zero means on-demand only). Triggers arriving while a
 /// pass runs coalesce into one follow-up pass — the schedule never queues
-/// unboundedly behind a slow census.
+/// unboundedly behind a slow census. The same thread also runs posted jobs:
+/// one run per post(), in post order, never coalesced, ahead of any pending
+/// pass.
 class PassScheduler {
   public:
     struct Options {
@@ -52,19 +55,23 @@ class PassScheduler {
 
     /// Starts the scheduler thread. Idempotent.
     void start();
-    /// Stops the thread, joining it; a pass in flight completes first.
-    /// Idempotent; the destructor calls it.
+    /// Stops the thread, joining it; a pass in flight and every job posted
+    /// before the call complete first. Idempotent; the destructor calls it.
     void stop();
 
     /// Requests one pass now (starts the thread if needed). Returns after
     /// noting the request, not after the pass.
     void trigger();
 
+    /// Queues `job` to run once on the scheduler thread, after every job
+    /// posted before it (starts the thread if needed). Returns at once.
+    void post(std::function<void()> job);
+
+    /// Passes plus posted jobs completed since construction.
     [[nodiscard]] std::uint64_t passes_completed() const;
 
-    /// Blocks until at least `count` passes have completed since
-    /// construction, or `timeout` elapses. Returns whether the count was
-    /// reached.
+    /// Blocks until passes_completed() reaches `count`, or `timeout`
+    /// elapses. Returns whether the count was reached.
     [[nodiscard]] bool wait_for_passes(std::uint64_t count, std::chrono::milliseconds timeout);
 
   private:
@@ -79,6 +86,7 @@ class PassScheduler {
     bool running_ = false;
     bool stop_requested_ = false;
     bool trigger_pending_ = false;
+    std::deque<std::function<void()>> jobs_;
     std::uint64_t completed_ = 0;
 };
 
@@ -89,6 +97,17 @@ class PassScheduler {
 struct PathSweep {
     std::vector<std::vector<net::IPv4Address>> paths;
     std::vector<std::uint32_t> path_lane;  ///< empty = backend-hint grouping
+};
+
+/// What one path census published, captured on the thread that ran it
+/// (the runner's last_path_targets() belongs to whichever census ran last).
+struct PathCensusResult {
+    std::uint64_t version = 0;
+    std::size_t paths = 0;    ///< measured paths stored for PATH @<index>
+    std::size_t targets = 0;  ///< collapsed hop targets probed
+    std::uint64_t hops_listed = 0;
+    std::uint64_t duplicates_collapsed = 0;
+    std::uint64_t unroutable_dropped = 0;
 };
 
 /// Produces a fresh sweep per path census (e.g. a traceroute harvest, or
@@ -149,12 +168,19 @@ class CensusService {
     /// Starts the scheduler (recurring passes when config.interval > 0, an
     /// immediate first census when config.run_immediately).
     void start();
-    /// Stops the scheduler; a census in flight completes and publishes.
+    /// Stops the scheduler; a census in flight and every job posted before
+    /// the call complete first.
     void stop();
 
     /// Requests one census soon (asynchronous; coalesces with a pending
     /// trigger).
     void trigger();
+
+    /// Runs `job` once on the scheduler thread, in post order (see
+    /// PassScheduler::post). The serving loop posts TRIGGER and PATHCENSUS
+    /// here, and lfp_serve its boot census, so censuses run on that one
+    /// thread while the loop keeps answering queries.
+    void post(std::function<void()> job);
 
     /// Runs one census synchronously on the calling thread and publishes
     /// the snapshot. Returns the published version. Serializes with
@@ -165,9 +191,10 @@ class CensusService {
     /// the hop lists into census targets (CensusRunner::stream_paths), and
     /// publishes the classified snapshot with the measured paths attached
     /// (Snapshot::paths() — the PATH @<index> answers). Returns the
-    /// published version; throws std::logic_error when no path source is
-    /// configured. Serializes with every other census.
-    std::uint64_t run_path_census_now();
+    /// published version and the sweep's counters; throws std::logic_error
+    /// when no path source is configured. Serializes with every other
+    /// census.
+    PathCensusResult run_path_census_now();
 
     /// Whether config.paths was provided (the PATHCENSUS verb's gate).
     [[nodiscard]] bool has_path_source() const noexcept {
@@ -189,7 +216,8 @@ class CensusService {
         return published_.load(std::memory_order_relaxed);
     }
 
-    /// Blocks until at least `count` censuses have published (or timeout).
+    /// Blocks until the scheduler thread has run at least `count` censuses
+    /// and posted jobs (or timeout).
     [[nodiscard]] bool wait_for_census(std::uint64_t count, std::chrono::milliseconds timeout) {
         return scheduler_.wait_for_passes(count, timeout);
     }

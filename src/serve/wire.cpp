@@ -1,7 +1,6 @@
 #include "serve/wire.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <chrono>
 #include <sstream>
 
@@ -10,6 +9,7 @@
 #endif
 
 #include "io/csv_export.hpp"
+#include "util/strings.hpp"
 
 namespace lfp::serve {
 
@@ -25,13 +25,6 @@ std::vector<std::string_view> split_words(std::string_view text) {
         if (i > start) words.push_back(text.substr(start, i - start));
     }
     return words;
-}
-
-std::optional<std::uint64_t> parse_u64(std::string_view text) {
-    std::uint64_t value = 0;
-    auto [ptr, ec] = std::from_chars(text.data(), text.data() + text.size(), value);
-    if (ec != std::errc{} || ptr != text.data() + text.size()) return std::nullopt;
-    return value;
 }
 
 std::string err(std::string message) { return "ERR " + std::move(message); }
@@ -88,9 +81,9 @@ std::string handle_vendor(const QueryEngine& engine, std::string_view operand) {
 }
 
 std::string handle_asmix(const QueryEngine& engine, std::string_view operand) {
-    const auto asn = parse_u64(operand);
-    if (!asn || *asn > 0xFFFFFFFFull) return err("bad asn '" + std::string(operand) + "'");
-    const AsMixAnswer answer = engine.as_mix(static_cast<std::uint32_t>(*asn));
+    std::uint32_t asn = 0;
+    if (!util::parse_number(operand, asn)) return err("bad asn '" + std::string(operand) + "'");
+    const AsMixAnswer answer = engine.as_mix(asn);
     std::ostringstream out;
     out << "OK version=" << answer.version << " asn=" << answer.asn;
     if (!answer.mix) {
@@ -130,9 +123,11 @@ std::string handle_path(const QueryEngine& engine, std::span<const std::string_v
     // PATH @<index>: a measured path from the snapshot's own path census,
     // addressed by discovery index instead of client-supplied hops.
     if (operands.size() == 1 && operands[0].starts_with('@')) {
-        const auto index = parse_u64(operands[0].substr(1));
-        if (!index) return err("bad path index '" + std::string(operands[0]) + "'");
-        const auto profile = engine.measured_path(static_cast<std::size_t>(*index));
+        std::size_t index = 0;
+        if (!util::parse_number(operands[0].substr(1), index)) {
+            return err("bad path index '" + std::string(operands[0]) + "'");
+        }
+        const auto profile = engine.measured_path(index);
         if (!profile) return err(profile.error().message);
         return render_profile(profile.value());
     }
@@ -146,30 +141,27 @@ std::string handle_path(const QueryEngine& engine, std::span<const std::string_v
     return render_profile(engine.path_profile(hops));
 }
 
-std::string handle_path_census(CensusService& service, const QueryEngine& engine) {
+std::string handle_path_census(CensusService& service) {
     if (!service.has_path_source()) {
         return err("no path source configured (path censuses need traceroute discovery)");
     }
-    const std::uint64_t version = service.run_path_census_now();
+    const PathCensusResult result = service.run_path_census_now();
     std::ostringstream out;
-    out << "OK version=" << version;
-    const std::shared_ptr<const Snapshot> snapshot = engine.snapshot();
-    if (snapshot != nullptr && snapshot->version() == version) {
-        const core::PathTargets& targets = service.runner().last_path_targets();
-        out << " paths=" << snapshot->paths().size() << " hops=" << targets.hops_listed
-            << " targets=" << snapshot->records().size()
-            << " duplicates=" << targets.duplicates_collapsed
-            << " unroutable=" << targets.unroutable_dropped;
-    }
+    out << "OK version=" << result.version << " paths=" << result.paths
+        << " hops=" << result.hops_listed << " targets=" << result.targets
+        << " duplicates=" << result.duplicates_collapsed
+        << " unroutable=" << result.unroutable_dropped;
     return out.str();
 }
 
 std::string handle_diff(const QueryEngine& engine, std::string_view from_text,
                         std::string_view to_text) {
-    const auto from = parse_u64(from_text);
-    const auto to = parse_u64(to_text);
-    if (!from || !to) return err("bad version operand");
-    const auto result = engine.diff(*from, *to);
+    std::uint64_t from = 0;
+    std::uint64_t to = 0;
+    if (!util::parse_number(from_text, from) || !util::parse_number(to_text, to)) {
+        return err("bad version operand");
+    }
+    const auto result = engine.diff(from, to);
     if (!result) return err(result.error().message);
     const SnapshotDiff& diff = result.value();
     std::ostringstream out;
@@ -187,9 +179,14 @@ std::string handle_diff(const QueryEngine& engine, std::string_view from_text,
 std::string handle_export(const QueryEngine& engine) {
     const std::shared_ptr<const Snapshot> snapshot = engine.snapshot();
     if (snapshot == nullptr) return err("no snapshot published");
+    // One record expanded at a time: the CSV is the only copy of the
+    // snapshot this answer builds.
     std::ostringstream out;
-    io::export_measurement_csv(out, snapshot->expand());
-    return out.str();
+    io::write_measurement_csv_header(out);
+    for (const core::CompactRecord& record : snapshot->records()) {
+        io::write_measurement_csv_row(out, record.to_record());
+    }
+    return std::move(out).str();
 }
 
 }  // namespace
@@ -208,29 +205,39 @@ std::vector<std::uint8_t> encode_frame(std::string_view payload) {
 
 void FrameDecoder::feed(const std::uint8_t* data, std::size_t size) {
     if (error_) return;
+    if (consumed_ > buffer_.size() / 2) {
+        buffer_.erase(buffer_.begin(), buffer_.begin() + static_cast<std::ptrdiff_t>(consumed_));
+        consumed_ = 0;
+    }
     buffer_.insert(buffer_.end(), data, data + size);
 }
 
 std::optional<std::string> FrameDecoder::next() {
-    if (error_ || buffer_.size() < 4) return std::nullopt;
-    const std::uint32_t length = static_cast<std::uint32_t>(buffer_[0]) |
-                                 (static_cast<std::uint32_t>(buffer_[1]) << 8) |
-                                 (static_cast<std::uint32_t>(buffer_[2]) << 16) |
-                                 (static_cast<std::uint32_t>(buffer_[3]) << 24);
+    const std::size_t available = buffer_.size() - consumed_;
+    if (error_ || available < 4) return std::nullopt;
+    const std::uint8_t* head = buffer_.data() + consumed_;
+    const std::uint32_t length = static_cast<std::uint32_t>(head[0]) |
+                                 (static_cast<std::uint32_t>(head[1]) << 8) |
+                                 (static_cast<std::uint32_t>(head[2]) << 16) |
+                                 (static_cast<std::uint32_t>(head[3]) << 24);
     if (length == 0) {
         error_ = true;
         error_reason_ = "zero-length frame";
         return std::nullopt;
     }
-    if (length > kMaxFramePayload) {
+    if (length > max_payload_) {
         error_ = true;
         error_reason_ = "frame of " + std::to_string(length) +
-                        " bytes exceeds the cap of " + std::to_string(kMaxFramePayload);
+                        " bytes exceeds the cap of " + std::to_string(max_payload_);
         return std::nullopt;
     }
-    if (buffer_.size() < 4u + length) return std::nullopt;
-    std::string payload(buffer_.begin() + 4, buffer_.begin() + 4 + length);
-    buffer_.erase(buffer_.begin(), buffer_.begin() + 4 + length);
+    if (available - 4 < length) return std::nullopt;
+    std::string payload(reinterpret_cast<const char*>(head + 4), length);
+    consumed_ += 4 + std::size_t{length};
+    if (consumed_ == buffer_.size()) {
+        buffer_.clear();
+        consumed_ = 0;
+    }
     return payload;
 }
 
@@ -259,31 +266,14 @@ std::optional<std::string> read_frame(int fd) {
     }
 }
 
-bool serve_connection(int fd, CensusService& service, const QueryEngine& engine) {
-    FrameDecoder decoder;
-    std::uint8_t chunk[4096];
-    while (true) {
-        while (auto request = decoder.next()) {
-            const RequestOutcome outcome = handle_request(*request, service, engine);
-            if (!write_frame(fd, outcome.response)) return false;
-            if (outcome.shutdown) return true;
-        }
-        if (decoder.error()) {
-            // Structured rejection: one error frame naming the violation,
-            // then hang up — never a silent close, never an attempt to
-            // resynchronize a stream we can no longer trust.
-            (void)write_frame(fd, "ERR protocol: " + decoder.error_reason());
-            return false;
-        }
-        const ssize_t n = ::read(fd, chunk, sizeof(chunk));
-        // EOF or error — including a peer that vanished mid-frame: the
-        // partial frame still in the decoder is simply abandoned.
-        if (n <= 0) return false;
-        decoder.feed(chunk, static_cast<std::size_t>(n));
-    }
-}
-
 #endif  // !_WIN32
+
+bool runs_census(std::string_view request) {
+    const std::size_t start = request.find_first_not_of(' ');
+    if (start == std::string_view::npos) return false;
+    const std::string_view verb = request.substr(start, request.find(' ', start) - start);
+    return verb == "TRIGGER" || verb == "PATHCENSUS";
+}
 
 RequestOutcome handle_request(std::string_view request, CensusService& service,
                               const QueryEngine& engine) {
@@ -314,7 +304,7 @@ RequestOutcome handle_request(std::string_view request, CensusService& service,
     }
     if (verb == "PATHCENSUS") {
         if (!operands.empty()) return {err("PATHCENSUS takes no operands"), false};
-        return {handle_path_census(service, engine), false};
+        return {handle_path_census(service), false};
     }
     if (verb == "DIFF") {
         if (operands.size() != 2) return {err("usage: DIFF <from-version> <to-version>"), false};

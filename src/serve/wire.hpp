@@ -5,9 +5,9 @@
 // for EXPORT, the raw CSV payload. The framing is deliberately minimal —
 // the daemon serves the local operator loop (CLI, smoke tests, dashboards
 // polling over a unix socket), not the open internet — but it is a real
-// protocol: framed (no delimiter ambiguity), bounded (kMaxFramePayload),
-// and versionless text so `lfp_query` output diffs cleanly against the
-// batch pipeline's artifacts.
+// protocol: framed (no delimiter ambiguity), bounded (kMaxRequestPayload
+// for requests, kMaxFramePayload for responses), and versionless text so
+// `lfp_query` output diffs cleanly against the batch pipeline's artifacts.
 //
 // Commands (case-sensitive verbs, space-separated operands):
 //   PING                     liveness check
@@ -20,17 +20,23 @@
 //                            answer from one snapshot)
 //   DIFF <from> <to>         signature stability between retained versions
 //   EXPORT                   current snapshot as measurement CSV (raw)
-//   TRIGGER                  run one census now (synchronous; returns the
-//                            newly published version)
+//   TRIGGER                  run one census now; answers with the version
+//                            it published
 //   PATHCENSUS               run one path census now: traceroute-discovered
 //                            hops collapsed into census targets, measured
 //                            paths stored for PATH @<index> (requires a
 //                            configured path source)
 //   SHUTDOWN                 stop serving after this response
+//
+// TRIGGER and PATHCENSUS stay synchronous to their own client: the answer
+// comes once the census has published, and later frames on that
+// connection wait behind it, so answers arrive in request order. The
+// census itself runs on the service's scheduler thread (see
+// serve/server.hpp), so every other connection keeps being answered from
+// the current snapshot meanwhile. Each TRIGGER runs exactly one census.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -41,23 +47,33 @@
 
 namespace lfp::serve {
 
-/// Frames larger than this are a protocol violation (the full-census CSV
-/// export of a 10M-target snapshot fits comfortably).
+/// Responses larger than this are a protocol violation (the full-census
+/// CSV export of a 10M-target snapshot fits comfortably). Clients decode
+/// with this cap.
 inline constexpr std::uint32_t kMaxFramePayload = 1u << 30;
+
+/// Requests larger than this are a protocol violation. The server decodes
+/// with this cap, so a 4-byte header can never commit it to buffering more
+/// than this (a PATH of 4000 hops still fits).
+inline constexpr std::uint32_t kMaxRequestPayload = 64u << 10;
 
 /// Serializes one frame: 4-byte little-endian length + payload.
 [[nodiscard]] std::vector<std::uint8_t> encode_frame(std::string_view payload);
 
 /// Incremental frame decoder for a byte stream: feed() arbitrary chunks,
-/// next() yields complete payloads in order. Zero-length and over-cap
-/// frames are protocol violations: they set error() with a reason
-/// (error_reason()), and the connection should answer with a structured
-/// "ERR protocol: ..." frame and close — see serve_connection(). A frame
-/// length of zero is rejected rather than round-tripped because no command
-/// and no response is ever empty; an all-zero length prefix is what a
-/// desynchronized or garbage byte stream most often looks like.
+/// next() yields complete payloads in order. Zero-length frames and frames
+/// over the decoder's cap are protocol violations, detected as soon as the
+/// 4-byte header arrives: they set error() with a reason (error_reason()),
+/// and the connection should answer with a structured "ERR protocol: ..."
+/// frame and close (serve::Server does). A frame length of zero is rejected
+/// rather than round-tripped because no command and no response is ever
+/// empty; an all-zero length prefix is what a desynchronized or garbage
+/// byte stream most often looks like.
 class FrameDecoder {
   public:
+    explicit FrameDecoder(std::uint32_t max_payload = kMaxFramePayload)
+        : max_payload_(max_payload) {}
+
     void feed(const std::uint8_t* data, std::size_t size);
 
     /// The next complete frame payload, or nullopt when more bytes are
@@ -69,13 +85,17 @@ class FrameDecoder {
     [[nodiscard]] const std::string& error_reason() const noexcept { return error_reason_; }
 
   private:
-    std::deque<std::uint8_t> buffer_;
+    /// Received bytes; [0, consumed_) is already decoded and dropped by the
+    /// next feed() once it passes half the buffer.
+    std::vector<std::uint8_t> buffer_;
+    std::size_t consumed_ = 0;
+    std::uint32_t max_payload_;
     bool error_ = false;
     std::string error_reason_;
 };
 
 #ifndef _WIN32
-/// Blocking fd helpers for the daemon and CLI (POSIX only). write_frame
+/// Blocking fd helpers for clients (lfp_query, tests; POSIX only). write_frame
 /// returns false on I/O error; read_frame returns nullopt on EOF/error.
 [[nodiscard]] bool write_frame(int fd, std::string_view payload);
 [[nodiscard]] std::optional<std::string> read_frame(int fd);
@@ -88,20 +108,14 @@ struct RequestOutcome {
     bool shutdown = false;
 };
 
-/// Executes one wire command against the service. Pure request/response —
-/// transport-agnostic, so tests exercise the full command surface without a
-/// socket.
+/// Executes one wire command against the service on the calling thread.
+/// Pure request/response — transport-agnostic, so tests exercise the full
+/// command surface without a socket.
 [[nodiscard]] RequestOutcome handle_request(std::string_view request, CensusService& service,
                                             const QueryEngine& engine);
 
-#ifndef _WIN32
-/// Serves one connection to completion: frames in, responses out, until
-/// the peer hangs up (EOF — including mid-frame: a torn frame is simply a
-/// closed connection, never a hang), an I/O error, a protocol violation
-/// (answered with one structured "ERR protocol: <reason>" frame before
-/// closing), or SHUTDOWN. Returns whether SHUTDOWN was requested.
-[[nodiscard]] bool serve_connection(int fd, CensusService& service,
-                                    const QueryEngine& engine);
-#endif
+/// Whether `request` runs a census (TRIGGER, PATHCENSUS): the requests the
+/// server hands to the scheduler thread instead of answering inline.
+[[nodiscard]] bool runs_census(std::string_view request);
 
 }  // namespace lfp::serve

@@ -2,30 +2,38 @@
 // (lock-free readers vs concurrent publishes, version retention), the
 // pass-aware absorb-with-retraction sink, byte-identity of served answers
 // against the batch pipeline over an identically-seeded world, the
-// recurring-pass scheduler, and the wire protocol (framing + the full
-// command surface, no socket required).
+// recurring-pass scheduler, the wire protocol (framing + the full command
+// surface, no socket required), and the serving event loop over a real
+// unix socket (hostile clients, censuses held mid-flight).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <memory>
+#include <mutex>
 #include <sstream>
 #include <thread>
 #include <vector>
 
 #ifndef _WIN32
 #include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 #endif
 
+#include "analysis/path_census.hpp"
 #include "core/census.hpp"
 #include "io/csv_export.hpp"
 #include "probe/sim_transport.hpp"
 #include "serve/query.hpp"
+#include "serve/server.hpp"
 #include "serve/service.hpp"
 #include "serve/snapshot.hpp"
 #include "serve/wire.hpp"
@@ -392,6 +400,49 @@ TEST(WireFraming, ZeroLengthFrameIsAProtocolError) {
     EXPECT_TRUE(decoder.error());
 }
 
+TEST(WireFraming, DecodesTenThousandPipelinedFramesFedAsOneChunk) {
+    std::vector<std::uint8_t> stream;
+    for (int i = 0; i < 10'000; ++i) {
+        const auto frame = serve::encode_frame("VENDOR 10.0." + std::to_string(i / 256) + '.' +
+                                               std::to_string(i % 256));
+        stream.insert(stream.end(), frame.begin(), frame.end());
+    }
+    serve::FrameDecoder decoder(serve::kMaxRequestPayload);
+    decoder.feed(stream.data(), stream.size());
+    int decoded = 0;
+    while (auto payload = decoder.next()) {
+        ASSERT_EQ(*payload, "VENDOR 10.0." + std::to_string(decoded / 256) + '.' +
+                                std::to_string(decoded % 256));
+        ++decoded;
+    }
+    EXPECT_EQ(decoded, 10'000);
+    EXPECT_FALSE(decoder.error());
+}
+
+TEST(WireFraming, RequestCapRejectsOnTheHeaderAlone) {
+    // A request decoder refuses a frame over kMaxRequestPayload as soon as
+    // its header arrives; a response decoder accepts the same header and
+    // waits for the body.
+    const std::uint32_t length = serve::kMaxRequestPayload + 1;
+    const std::uint8_t header[4] = {
+        static_cast<std::uint8_t>(length & 0xFF),
+        static_cast<std::uint8_t>((length >> 8) & 0xFF),
+        static_cast<std::uint8_t>((length >> 16) & 0xFF),
+        static_cast<std::uint8_t>((length >> 24) & 0xFF),
+    };
+    serve::FrameDecoder requests(serve::kMaxRequestPayload);
+    requests.feed(header, sizeof(header));
+    EXPECT_EQ(requests.next(), std::nullopt);
+    EXPECT_TRUE(requests.error());
+    EXPECT_NE(requests.error_reason().find("exceeds the cap of 65536"), std::string::npos)
+        << requests.error_reason();
+
+    serve::FrameDecoder responses;
+    responses.feed(header, sizeof(header));
+    EXPECT_EQ(responses.next(), std::nullopt);
+    EXPECT_FALSE(responses.error());
+}
+
 // --------------------------------------------------------- request handling
 
 TEST(WireRequests, FullCommandSurface) {
@@ -668,80 +719,365 @@ TEST(CensusService, RestoreLatestServesDegradedUntilFreshCensus) {
     EXPECT_FALSE(cold.restore_latest());
 }
 
-#ifndef _WIN32
+#ifdef __linux__
 
-TEST(ServeConnection, MidFrameDisconnectReturnsWithoutHanging) {
+// ------------------------------------------------------------- ServeServer
+
+/// Blocks the next send_batch() after arm() until release(): a census held
+/// mid-flight, without any timing.
+class GateTransport final : public probe::ProbeTransport {
+  public:
+    explicit GateTransport(probe::ProbeTransport& inner) : inner_(&inner) {}
+
+    void arm() {
+        std::lock_guard<std::mutex> guard(mutex_);
+        armed_ = true;
+    }
+    void wait_until_held() {
+        std::unique_lock<std::mutex> lock(mutex_);
+        cv_.wait(lock, [this] { return held_; });
+    }
+    void release() {
+        {
+            std::lock_guard<std::mutex> guard(mutex_);
+            armed_ = false;
+        }
+        cv_.notify_all();
+    }
+
+    void send_batch(std::span<const net::Bytes> packets) override {
+        {
+            std::unique_lock<std::mutex> lock(mutex_);
+            if (armed_) {
+                held_ = true;
+                cv_.notify_all();
+                cv_.wait(lock, [this] { return !armed_; });
+            }
+        }
+        inner_->send_batch(packets);
+    }
+    std::vector<net::Bytes> poll_responses(std::chrono::milliseconds timeout) override {
+        return inner_->poll_responses(timeout);
+    }
+    [[nodiscard]] bool drained() const override { return inner_->drained(); }
+    [[nodiscard]] net::IPv4Address vantage_address() const override {
+        return inner_->vantage_address();
+    }
+    [[nodiscard]] std::chrono::milliseconds transact_timeout() const override {
+        return inner_->transact_timeout();
+    }
+    [[nodiscard]] std::optional<std::uint64_t> backend_hint(
+        net::IPv4Address target) const override {
+        return inner_->backend_hint(target);
+    }
+
+  private:
+    probe::ProbeTransport* inner_;
+    std::mutex mutex_;
+    std::condition_variable cv_;
+    bool armed_ = false;
+    bool held_ = false;
+};
+
+/// A client socket, closed on scope exit. Reads give up after 10 s so a
+/// broken server fails the test instead of hanging it.
+struct Client {
+    explicit Client(const std::string& path)
+        : fd(::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0)) {
+        sockaddr_un address{};
+        address.sun_family = AF_UNIX;
+        std::memcpy(address.sun_path, path.c_str(), path.size() + 1);
+        const timeval limit{.tv_sec = 10, .tv_usec = 0};
+        ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &limit, sizeof(limit));
+        if (::connect(fd, reinterpret_cast<const sockaddr*>(&address), sizeof(address)) != 0) {
+            ADD_FAILURE() << "connect " << path << ": " << std::strerror(errno);
+        }
+    }
+    ~Client() { ::close(fd); }
+    Client(const Client&) = delete;
+    Client& operator=(const Client&) = delete;
+
+    /// Sends bytes without SIGPIPE; false once the server has hung up.
+    bool send_bytes(const std::uint8_t* data, std::size_t size) const {
+        return ::send(fd, data, size, MSG_NOSIGNAL) == static_cast<ssize_t>(size);
+    }
+    bool send(std::string_view payload) const {
+        const auto frame = serve::encode_frame(payload);
+        return send_bytes(frame.data(), frame.size());
+    }
+    /// The next answer; answers to pipelined requests may share a read.
+    [[nodiscard]] std::optional<std::string> receive() {
+        std::uint8_t chunk[4096];
+        while (true) {
+            if (auto payload = decoder.next()) return payload;
+            if (decoder.error()) return std::nullopt;
+            const ssize_t n = ::read(fd, chunk, sizeof(chunk));
+            if (n <= 0) return std::nullopt;
+            decoder.feed(chunk, static_cast<std::size_t>(n));
+        }
+    }
+    [[nodiscard]] std::optional<std::string> ask(std::string_view payload) {
+        if (!send(payload)) return std::nullopt;
+        return receive();
+    }
+
+    int fd;
+    serve::FrameDecoder decoder;
+};
+
+/// A Server on a socket in a scratch directory, running on its own thread;
+/// stopped and joined on scope exit.
+class RunningServer {
+  public:
+    RunningServer(serve::CensusService& service, const serve::QueryEngine& engine)
+        : dir_("server"),
+          path_((dir_.path() / "s.sock").string()),
+          server_(path_, service, engine),
+          thread_([this] { server_.run(); }) {}
+    ~RunningServer() {
+        server_.request_stop();
+        if (thread_.joinable()) thread_.join();
+    }
+    RunningServer(const RunningServer&) = delete;
+    RunningServer& operator=(const RunningServer&) = delete;
+
+    [[nodiscard]] const std::string& path() const noexcept { return path_; }
+    /// Waits for run() to return on its own (SHUTDOWN).
+    void join() { thread_.join(); }
+
+  private:
+    ScratchDir dir_;
+    std::string path_;
+    serve::Server server_;
+    std::thread thread_;
+};
+
+/// A header announcing `length` payload bytes, none of which follow.
+std::array<std::uint8_t, 4> bare_header(std::uint32_t length) {
+    return {static_cast<std::uint8_t>(length & 0xFF),
+            static_cast<std::uint8_t>((length >> 8) & 0xFF),
+            static_cast<std::uint8_t>((length >> 16) & 0xFF),
+            static_cast<std::uint8_t>((length >> 24) & 0xFF)};
+}
+
+TEST(ServeServer, MidFrameDisconnectLeavesTheServerServing) {
     ServeWorld world;
     serve::CensusService service(world.plan(40), on_demand_config(world));
     const serve::QueryEngine engine(service.store());
+    RunningServer server(service, engine);
 
-    int fds[2];
-    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
-
-    // Client thread: one full PING, then half a frame, then vanish.
-    std::thread client([fd = fds[0]] {
-        ASSERT_TRUE(serve::write_frame(fd, "PING"));
-        const auto reply = serve::read_frame(fd);
-        ASSERT_TRUE(reply.has_value());
-        EXPECT_EQ(*reply, "OK pong");
+    {
+        // One full PING, then half a frame, then vanish.
+        Client client(server.path());
+        EXPECT_EQ(client.ask("PING"), "OK pong");
         const auto torn = serve::encode_frame("STATS");
         // Length prefix plus two payload bytes — the frame never completes.
         ASSERT_GT(torn.size(), 6u);
-        EXPECT_EQ(::write(fd, torn.data(), 6), 6);
-        ::close(fd);  // peer vanishes mid-frame
-    });
-
-    // The server must observe EOF and return false — not spin, not crash,
-    // not treat the torn frame as a request.
-    EXPECT_FALSE(serve::serve_connection(fds[1], service, engine));
-    client.join();
-    ::close(fds[1]);
+        EXPECT_TRUE(client.send_bytes(torn.data(), 6));
+    }
+    // The torn frame was abandoned, not treated as a request, and the loop
+    // neither spun nor stopped.
+    Client next(server.path());
+    EXPECT_EQ(next.ask("PING"), "OK pong");
 }
 
-TEST(ServeConnection, ProtocolViolationAnswersStructuredErrorThenCloses) {
+TEST(ServeServer, ProtocolViolationAnswersStructuredErrorThenCloses) {
     ServeWorld world;
     serve::CensusService service(world.plan(40), on_demand_config(world));
     const serve::QueryEngine engine(service.store());
+    RunningServer server(service, engine);
 
-    int fds[2];
-    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
-
-    std::thread client([fd = fds[0]] {
-        const std::uint8_t zero_header[4] = {0, 0, 0, 0};
-        EXPECT_EQ(::write(fd, zero_header, sizeof(zero_header)), 4);
-        const auto reply = serve::read_frame(fd);
-        ASSERT_TRUE(reply.has_value());
-        EXPECT_EQ(*reply, "ERR protocol: zero-length frame");
-        // And then the connection is gone.
-        EXPECT_FALSE(serve::read_frame(fd).has_value());
-        ::close(fd);
-    });
-
-    EXPECT_FALSE(serve::serve_connection(fds[1], service, engine));
-    ::close(fds[1]);
-    client.join();
+    Client client(server.path());
+    const auto zero_header = bare_header(0);
+    ASSERT_TRUE(client.send_bytes(zero_header.data(), zero_header.size()));
+    EXPECT_EQ(client.receive(), "ERR protocol: zero-length frame");
+    // And then the connection is gone.
+    EXPECT_EQ(client.receive(), std::nullopt);
 }
 
-TEST(ServeConnection, ShutdownFrameEndsTheConnectionWithTrue) {
+TEST(ServeServer, OversizedRequestHeaderIsRejectedBeforeItsBody) {
     ServeWorld world;
     serve::CensusService service(world.plan(40), on_demand_config(world));
     const serve::QueryEngine engine(service.store());
+    RunningServer server(service, engine);
 
-    int fds[2];
-    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
-    std::thread client([fd = fds[0]] {
-        ASSERT_TRUE(serve::write_frame(fd, "SHUTDOWN"));
-        const auto reply = serve::read_frame(fd);
-        ASSERT_TRUE(reply.has_value());
-        EXPECT_EQ(*reply, "OK bye");
-        ::close(fd);
-    });
-    EXPECT_TRUE(serve::serve_connection(fds[1], service, engine));
-    ::close(fds[1]);
-    client.join();
+    // 1 MiB announced, no body sent: the header alone earns the error.
+    Client client(server.path());
+    const auto header = bare_header(1u << 20);
+    ASSERT_TRUE(client.send_bytes(header.data(), header.size()));
+    EXPECT_EQ(client.receive(), "ERR protocol: frame of 1048576 bytes exceeds the cap of " +
+                                    std::to_string(serve::kMaxRequestPayload));
+    EXPECT_EQ(client.receive(), std::nullopt);
 }
 
-#endif  // !_WIN32
+TEST(ServeServer, ShutdownAnswersThenDrainsAndReturns) {
+    ServeWorld world;
+    serve::CensusService service(world.plan(40), on_demand_config(world));
+    const serve::QueryEngine engine(service.store());
+    RunningServer server(service, engine);
+
+    Client idle(server.path());
+    Client client(server.path());
+    EXPECT_EQ(client.ask("PING"), "OK pong");
+    EXPECT_EQ(client.ask("SHUTDOWN"), "OK bye");
+    EXPECT_EQ(client.receive(), std::nullopt);
+    server.join();  // run() returns without a stop request
+    std::uint8_t byte = 0;
+    EXPECT_EQ(::read(idle.fd, &byte, 1), 0);  // the drain closed the idle one too
+}
+
+TEST(ServeServer, ReadsAnswerFromTheOldVersionWhileACensusIsHeld) {
+    ServeWorld world;
+    GateTransport gate(*world.transport);
+    core::CensusPlan plan = world.plan(40);
+    plan.vantages = {&gate};
+    serve::CensusService service(std::move(plan), on_demand_config(world));
+    ASSERT_EQ(service.run_census_now(), 1u);
+    const serve::QueryEngine engine(service.store());
+    const std::string first_ip =
+        net::IPv4Address(service.store().current()->records().front().target).to_string();
+    RunningServer server(service, engine);
+
+    gate.arm();
+    Client writer(server.path());
+    ASSERT_TRUE(writer.send("TRIGGER"));
+    gate.wait_until_held();  // the census is mid-flight on the scheduler thread
+
+    Client reader(server.path());
+    const auto vendor = reader.ask("VENDOR " + first_ip);
+    ASSERT_TRUE(vendor.has_value());
+    EXPECT_EQ(vendor->rfind("OK version=1 ip=" + first_ip, 0), 0u) << *vendor;
+    const auto stats = reader.ask("STATS");
+    ASSERT_TRUE(stats.has_value());
+    EXPECT_NE(stats->find(" version=1 "), std::string::npos) << *stats;
+
+    gate.release();
+    EXPECT_EQ(writer.receive(), "OK version=2");
+
+    // Pipelined behind a census, a connection's answers keep request
+    // order, and every TRIGGER runs its own census.
+    ASSERT_TRUE(writer.send("TRIGGER"));
+    ASSERT_TRUE(writer.send("PING"));
+    ASSERT_TRUE(writer.send("TRIGGER"));
+    EXPECT_EQ(writer.receive(), "OK version=3");
+    EXPECT_EQ(writer.receive(), "OK pong");
+    EXPECT_EQ(writer.receive(), "OK version=4");
+    EXPECT_EQ(service.censuses_completed(), 4u);
+}
+
+TEST(ServeServer, HostileClientsDoNotStallOthers) {
+    ServeWorld world;
+    serve::CensusService service(world.plan(40), on_demand_config(world));
+    ASSERT_EQ(service.run_census_now(), 1u);
+    const serve::QueryEngine engine(service.store());
+    RunningServer server(service, engine);
+
+    Client idle(server.path());
+    Client oversized(server.path());
+    const auto header = bare_header(serve::kMaxRequestPayload + 1);
+    ASSERT_TRUE(oversized.send_bytes(header.data(), header.size()));
+    std::thread drip([&server] {
+        Client slow(server.path());
+        const auto frame = serve::encode_frame("STATS");
+        for (const std::uint8_t byte : frame) {
+            if (!slow.send_bytes(&byte, 1)) return;  // cut off: also fine
+            std::this_thread::sleep_for(50ms);
+        }
+        const auto answer = slow.receive();
+        if (answer) {
+            EXPECT_EQ(answer->rfind("OK censuses=1", 0), 0u) << *answer;
+        }
+    });
+
+    Client good(server.path());
+    int answered = 0;
+    for (int i = 0; i < 100; ++i) {
+        if (good.ask("PING") == "OK pong") ++answered;
+        std::this_thread::sleep_for(2ms);
+    }
+    EXPECT_EQ(answered, 100);
+    EXPECT_EQ(oversized.receive().value_or("").rfind("ERR protocol: frame of", 0), 0u);
+    drip.join();
+}
+
+TEST(ServeServer, IdleConnectionIsClosedAfterTheReadDeadline) {
+    ServeWorld world;
+    serve::CensusService service(world.plan(40), on_demand_config(world));
+    const serve::QueryEngine engine(service.store());
+    RunningServer server(service, engine);
+
+    Client idle(server.path());
+    const auto start = std::chrono::steady_clock::now();
+    std::uint8_t byte = 0;
+    EXPECT_EQ(::read(idle.fd, &byte, 1), 0);  // EOF: the server hung up
+    const auto waited = std::chrono::steady_clock::now() - start;
+    EXPECT_GE(waited, serve::kPeerDeadline - 50ms);
+    EXPECT_LT(waited, serve::kPeerDeadline + 1000ms);
+
+    // A connection that asks in time is answered, and its deadline starts
+    // over from the answer.
+    Client prompt(server.path());
+    EXPECT_EQ(prompt.ask("PING"), "OK pong");
+}
+
+TEST(ServeServer, ConcurrentTriggerAndPathCensusCarryTheirOwnCounters) {
+    ServeWorld world;
+    serve::ServiceConfig config = on_demand_config(world);
+    // Successive sweeps differ in size, so counters read from the wrong
+    // census would show.
+    auto sweeps = std::make_shared<std::atomic<int>>(0);
+    config.paths = [topology = &world.topology, sweeps] {
+        analysis::PathCensusConfig sweep;
+        sweep.sources = 3;
+        sweep.destinations = sweeps->fetch_add(1) % 2 == 0 ? 12 : 6;
+        const analysis::PathCensus census(*topology, sweep);
+        analysis::PathDiscovery discovery = census.discover();
+        serve::PathSweep out;
+        out.paths = discovery.hop_lists();
+        out.path_lane = std::move(discovery.trace_source);
+        return out;
+    };
+    serve::CensusService service(world.plan(40), config);
+    const serve::QueryEngine engine(service.store());
+    RunningServer server(service, engine);
+
+    Client trigger(server.path());
+    Client path_a(server.path());
+    Client path_b(server.path());
+    ASSERT_TRUE(trigger.send("TRIGGER"));
+    ASSERT_TRUE(path_a.send("PATHCENSUS"));
+    ASSERT_TRUE(path_b.send("PATHCENSUS"));
+    const auto trigger_answer = trigger.receive();
+    const auto answer_a = path_a.receive();
+    const auto answer_b = path_b.receive();
+    ASSERT_TRUE(trigger_answer && answer_a && answer_b);
+
+    auto version_of = [](const std::string& answer) -> std::uint64_t {
+        const std::size_t at = answer.find("version=");
+        return at == std::string::npos ? 0 : std::stoull(answer.substr(at + 8));
+    };
+    std::vector<std::uint64_t> versions = {version_of(*trigger_answer), version_of(*answer_a),
+                                           version_of(*answer_b)};
+    std::sort(versions.begin(), versions.end());
+    EXPECT_EQ(versions, (std::vector<std::uint64_t>{1, 2, 3}));
+
+    std::vector<std::size_t> path_counts;
+    for (const std::string& answer : {*answer_a, *answer_b}) {
+        const auto snapshot = service.store().version(version_of(answer));
+        ASSERT_NE(snapshot, nullptr) << answer;
+        const core::PathTargets targets = core::PathTargets::from_paths(snapshot->paths());
+        std::ostringstream expected;
+        expected << "OK version=" << snapshot->version() << " paths=" << snapshot->paths().size()
+                 << " hops=" << targets.hops_listed << " targets=" << snapshot->records().size()
+                 << " duplicates=" << targets.duplicates_collapsed
+                 << " unroutable=" << targets.unroutable_dropped;
+        EXPECT_EQ(answer, expected.str());
+        path_counts.push_back(snapshot->paths().size());
+    }
+    EXPECT_NE(path_counts[0], path_counts[1]);
+}
+
+#endif  // __linux__
 
 }  // namespace
 }  // namespace lfp

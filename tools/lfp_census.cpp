@@ -33,6 +33,7 @@
 #include "sim/faults.hpp"
 #include "sim/internet.hpp"
 #include "sim/topology.hpp"
+#include "util/strings.hpp"
 
 namespace {
 
@@ -150,30 +151,35 @@ int main(int argc, char** argv) {
             return 0;
         }
         std::optional<std::string> value;
+        bool parsed = true;
         if (flag == "--targets" && (value = next())) {
-            args.target_limit = std::stoull(*value);
+            parsed = util::parse_number(*value, args.target_limit);
         } else if (flag == "--passes" && (value = next())) {
-            args.passes = std::stoull(*value);
+            parsed = util::parse_number(*value, args.passes);
         } else if (flag == "--pps" && (value = next())) {
-            args.pps = std::stod(*value);
+            parsed = util::parse_number(*value, args.pps);
         } else if (flag == "--loss" && (value = next())) {
-            args.loss_rate = std::stod(*value);
+            parsed = util::parse_number(*value, args.loss_rate);
         } else if (flag == "--scale" && (value = next())) {
-            args.scale = std::stod(*value);
+            parsed = util::parse_number(*value, args.scale);
         } else if (flag == "--checkpoint-dir" && (value = next())) {
             args.checkpoint_dir = *value;
         } else if (flag == "--out" && (value = next())) {
             args.out = *value;
         } else if (flag == "--paths" && (value = next())) {
-            args.path_destinations = std::stoull(*value);
+            parsed = util::parse_number(*value, args.path_destinations);
         } else if (flag == "--path-sources" && (value = next())) {
-            args.path_sources = std::stoull(*value);
+            parsed = util::parse_number(*value, args.path_sources);
         } else if (flag == "--flows" && (value = next())) {
-            args.path_flows = std::stoull(*value);
+            parsed = util::parse_number(*value, args.path_flows);
         } else if (flag == "--vantages" && (value = next())) {
-            args.vantages = std::stoull(*value);
+            parsed = util::parse_number(*value, args.vantages);
         } else {
-            std::cerr << "lfp_census: bad argument '" << flag << "'\n";
+            parsed = false;
+        }
+        if (!parsed) {
+            std::cerr << "lfp_census: bad argument '" << flag
+                      << (value ? " " + *value : std::string()) << "'\n";
             usage(std::cerr);
             return 2;
         }

@@ -3,41 +3,40 @@
 // Builds a deterministic sim world (fixed seeds), runs an initial census,
 // and serves VENDOR/ASMIX/PATH/DIFF/STATS/EXPORT/TRIGGER/PATHCENSUS
 // queries over a unix-domain socket using the length-prefixed frame
-// protocol in serve/wire.hpp. PATHCENSUS runs a traceroute-discovery path
-// census (LFP_PATH_* knobs) and stores the measured paths for
-// PATH @<index> answers. With --interval-ms the PassScheduler re-censuses on a
-// timer, publishing a fresh snapshot version each time; queries keep
-// answering from the previous version while a pass runs.
+// protocol in serve/wire.hpp. One epoll event loop (serve::Server) answers
+// every connection; TRIGGER and PATHCENSUS censuses, the boot census and
+// the --interval-ms timer passes all run on the census service's scheduler
+// thread, so queries keep answering from the current snapshot while a
+// census runs. PATHCENSUS runs a traceroute-discovery path census
+// (LFP_PATH_* knobs) and stores the measured paths for PATH @<index>
+// answers.
 //
 // --batch-csv PATH additionally runs the classic batch pipeline (probe →
 // build database → classify → export CSV) over a *second* world rebuilt
 // from the same seeds and writes its CSV there — the byte-identity
 // reference the serve-smoke CI step diffs `lfp_query export` against.
 #include <atomic>
-#include <cerrno>
 #include <csignal>
 #include <cstdint>
-#include <cstring>
+#include <exception>
 #include <fstream>
+#include <future>
 #include <iostream>
 #include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
-#include <sys/socket.h>
-#include <sys/un.h>
-#include <unistd.h>
-
 #include "analysis/path_census.hpp"
 #include "core/census.hpp"
 #include "io/csv_export.hpp"
 #include "probe/sim_transport.hpp"
 #include "serve/query.hpp"
+#include "serve/server.hpp"
 #include "serve/service.hpp"
-#include "serve/wire.hpp"
 #include "sim/internet.hpp"
 #include "sim/topology.hpp"
+#include "util/strings.hpp"
 
 namespace {
 
@@ -60,24 +59,32 @@ void usage(std::ostream& out) {
            "                 [--targets N] [--loss RATE] [--scale S] [--batch-csv PATH]\n"
            "                 [--state-dir PATH]\n"
            "Serves census queries over a unix socket (protocol: serve/wire.hpp).\n"
+           "Queries keep answering while a census runs; TRIGGER and PATHCENSUS answer\n"
+           "their own client once their census publishes. Requests over 64 KiB, and\n"
+           "connections silent for 2 s, are cut off.\n"
            "--state-dir persists snapshots and restores the newest on boot (degraded\n"
-           "mode until the first fresh census publishes). SIGTERM/SIGINT drain the\n"
-           "in-flight connection and unlink the socket before exiting.\n"
+           "mode until the first fresh census publishes). SHUTDOWN, SIGTERM and SIGINT\n"
+           "drain: every request already received is answered, then the socket is\n"
+           "unlinked and the daemon exits.\n"
            "Environment: LFP_SERVE_SOCKET, LFP_SERVE_INTERVAL_MS, LFP_SERVE_RETAIN,\n"
            "             LFP_SERVE_STATE.\n";
 }
 
-/// SIGTERM/SIGINT raise the flag; accept() is interrupted (no SA_RESTART)
-/// and the serve loop drains and exits cleanly.
+/// SIGTERM/SIGINT raise the flag and, once the server exists, ask it to
+/// drain (Server::request_stop is async-signal-safe).
 std::atomic<bool> g_stop_requested{false};
+std::atomic<serve::Server*> g_server{nullptr};
 
-void handle_stop_signal(int) { g_stop_requested.store(true, std::memory_order_relaxed); }
+void handle_stop_signal(int) {
+    g_stop_requested.store(true, std::memory_order_relaxed);
+    if (serve::Server* server = g_server.load()) server->request_stop();
+}
 
 void install_stop_handlers() {
     struct sigaction action{};
     action.sa_handler = handle_stop_signal;
     sigemptyset(&action.sa_mask);
-    action.sa_flags = 0;  // deliberately no SA_RESTART: accept() must EINTR
+    action.sa_flags = SA_RESTART;  // the census threads' syscalls carry on
     ::sigaction(SIGTERM, &action, nullptr);
     ::sigaction(SIGINT, &action, nullptr);
 }
@@ -134,57 +141,6 @@ bool write_batch_csv(const ServeArgs& args, const std::string& path) {
     return static_cast<bool>(out);
 }
 
-int serve_loop(const std::string& socket_path, serve::CensusService& service,
-               const serve::QueryEngine& engine) {
-    const int listener = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (listener < 0) {
-        std::cerr << "lfp_serve: socket: " << std::strerror(errno) << '\n';
-        return 1;
-    }
-    sockaddr_un address{};
-    address.sun_family = AF_UNIX;
-    if (socket_path.size() >= sizeof(address.sun_path)) {
-        std::cerr << "lfp_serve: socket path too long: " << socket_path << '\n';
-        ::close(listener);
-        return 1;
-    }
-    std::strncpy(address.sun_path, socket_path.c_str(), sizeof(address.sun_path) - 1);
-    ::unlink(socket_path.c_str());
-    if (::bind(listener, reinterpret_cast<const sockaddr*>(&address), sizeof(address)) != 0 ||
-        ::listen(listener, 16) != 0) {
-        std::cerr << "lfp_serve: bind/listen " << socket_path << ": " << std::strerror(errno)
-                  << '\n';
-        ::close(listener);
-        return 1;
-    }
-    std::cout << "lfp_serve: listening on " << socket_path << std::endl;
-
-    bool shutdown = false;
-    while (!shutdown && !g_stop_requested.load(std::memory_order_relaxed)) {
-        const int client = ::accept(listener, nullptr, nullptr);
-        if (client < 0) {
-            // A stop signal interrupts accept() with EINTR; any connection
-            // already accepted was served to completion before we got here,
-            // so this is the drain point.
-            if (errno == EINTR) continue;
-            std::cerr << "lfp_serve: accept: " << std::strerror(errno) << '\n';
-            break;
-        }
-        // One connection at a time, served to completion even when a stop
-        // signal arrives mid-exchange — in-flight frames drain, the next
-        // accept() exits. The CLI and smoke scripts open a fresh
-        // connection per command.
-        shutdown = serve::serve_connection(client, service, engine);
-        ::close(client);
-    }
-    if (g_stop_requested.load(std::memory_order_relaxed)) {
-        std::cout << "lfp_serve: stop signal received, drained and exiting" << std::endl;
-    }
-    ::close(listener);
-    ::unlink(socket_path.c_str());
-    return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -200,6 +156,7 @@ int main(int argc, char** argv) {
             return 0;
         }
         std::optional<std::string> value;
+        bool parsed = true;
         if (flag == "--socket" && (value = next())) {
             args.socket_path = *value;
         } else if (flag == "--batch-csv" && (value = next())) {
@@ -207,19 +164,23 @@ int main(int argc, char** argv) {
         } else if (flag == "--state-dir" && (value = next())) {
             args.state_dir = *value;
         } else if (flag == "--interval-ms" && (value = next())) {
-            args.interval_ms = std::stoull(*value);
+            parsed = util::parse_number(*value, args.interval_ms);
         } else if (flag == "--passes" && (value = next())) {
-            args.passes = std::stoull(*value);
+            parsed = util::parse_number(*value, args.passes);
         } else if (flag == "--retain" && (value = next())) {
-            args.retain = std::stoull(*value);
+            parsed = util::parse_number(*value, args.retain);
         } else if (flag == "--targets" && (value = next())) {
-            args.target_limit = std::stoull(*value);
+            parsed = util::parse_number(*value, args.target_limit);
         } else if (flag == "--loss" && (value = next())) {
-            args.loss_rate = std::stod(*value);
+            parsed = util::parse_number(*value, args.loss_rate);
         } else if (flag == "--scale" && (value = next())) {
-            args.scale = std::stod(*value);
+            parsed = util::parse_number(*value, args.scale);
         } else {
-            std::cerr << "lfp_serve: bad argument '" << flag << "'\n";
+            parsed = false;
+        }
+        if (!parsed) {
+            std::cerr << "lfp_serve: bad argument '" << flag
+                      << (value ? " " + *value : std::string()) << "'\n";
             usage(std::cerr);
             return 2;
         }
@@ -234,7 +195,7 @@ int main(int argc, char** argv) {
         args.interval_ms != 0 ? args.interval_ms
                               : static_cast<std::uint64_t>(config.interval.count()));
     config.retain = args.retain;
-    config.run_immediately = false;  // the first census runs synchronously below
+    config.run_immediately = false;  // the boot census is posted below
     if (!args.state_dir.empty()) config.state_dir = args.state_dir;
     sim::Topology& topology = world.topology;
     config.asn = [&topology](net::IPv4Address address) -> std::optional<std::uint32_t> {
@@ -268,7 +229,11 @@ int main(int argc, char** argv) {
                   << "; serving degraded until a fresh census publishes" << std::endl;
         service.trigger();
     } else {
-        const std::uint64_t version = service.run_census_now();
+        // The boot census runs on the scheduler thread like every later
+        // census, so census allocations stay on one thread.
+        std::promise<std::uint64_t> booted;
+        service.post([&] { booted.set_value(service.run_census_now()); });
+        const std::uint64_t version = booted.get_future().get();
         std::cout << "lfp_serve: published snapshot v" << version << " ("
                   << service.store().current()->records().size() << " targets, "
                   << service.store().current()->pass_stats().size() << " passes)"
@@ -277,5 +242,21 @@ int main(int argc, char** argv) {
     if (config.interval.count() > 0) service.start();
 
     const serve::QueryEngine engine(service.store());
-    return serve_loop(args.socket_path, service, engine);
+    try {
+        serve::Server server(args.socket_path, service, engine);
+        struct Unpublish {
+            ~Unpublish() { g_server.store(nullptr); }
+        } unpublish;  // destroyed before `server`
+        g_server.store(&server);
+        if (g_stop_requested.load()) server.request_stop();
+        std::cout << "lfp_serve: listening on " << args.socket_path << std::endl;
+        server.run();
+    } catch (const std::exception& error) {
+        std::cerr << "lfp_serve: " << error.what() << '\n';
+        return 1;
+    }
+    if (g_stop_requested.load()) {
+        std::cout << "lfp_serve: stop signal received, drained and exiting" << std::endl;
+    }
+    return 0;
 }

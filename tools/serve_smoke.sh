@@ -11,7 +11,8 @@
 #   3. PATH per-hop verdicts must equal the CSV's combined verdict (snmp
 #      when present, else lfp) for those hops; ASMIX must cover the AS a
 #      VENDOR answer reports.
-#   4. TRIGGER/DIFF: a second census publishes v2 and DIFF 1 2 answers.
+#   4. TRIGGER/DIFF: a second census publishes v2 and DIFF 1 2 answers;
+#      while that TRIGGER's census runs, VENDOR still answers (from v1).
 #   5. bench_serve (smoke mode) must hold its QPS/p99 gates while a
 #      concurrent census absorbs.
 #
@@ -24,11 +25,12 @@ SOCK=$(mktemp -u "${TMPDIR:-/tmp}/lfp_serve_smoke.XXXXXX.sock")
 BATCH=$(mktemp "${TMPDIR:-/tmp}/lfp_smoke_batch.XXXXXX.csv")
 SERVED=$(mktemp "${TMPDIR:-/tmp}/lfp_smoke_served.XXXXXX.csv")
 SERVE_LOG=$(mktemp "${TMPDIR:-/tmp}/lfp_smoke_serve.XXXXXX.log")
+TRIGGER_OUT=$(mktemp "${TMPDIR:-/tmp}/lfp_smoke_trigger.XXXXXX.txt")
 
 SERVE_PID=
 cleanup() {
     [[ -n "$SERVE_PID" ]] && kill "$SERVE_PID" 2>/dev/null || true
-    rm -f "$SOCK" "$BATCH" "$SERVED" "$SERVE_LOG"
+    rm -f "$SOCK" "$BATCH" "$SERVED" "$SERVE_LOG" "$TRIGGER_OUT"
 }
 trap cleanup EXIT
 
@@ -36,6 +38,12 @@ trap cleanup EXIT
 SERVE_PID=$!
 
 Q() { "$BUILD/tools/lfp_query" --socket "$SOCK" "$@"; }
+# Whether process $1 is still running (a zombie has finished).
+running() {
+    local state
+    state=$(ps -o stat= -p "$1" 2>/dev/null) || return 1
+    [[ "$state" != Z* ]]
+}
 
 # Startup covers two full censuses (batch reference + serving); poll.
 for _ in $(seq 1 120); do
@@ -102,7 +110,26 @@ done < <(awk -F, 'NR>1 && NR<=4' "$BATCH")
 echo "serve-smoke: PATH per-hop verdicts match the CSV"
 
 # --- 4. TRIGGER a second census, DIFF the two versions --------------------
-Q trigger | grep -q 'version=2' || { echo "serve-smoke FAILED: TRIGGER"; exit 1; }
+# The TRIGGER runs in the background; once its client sleeps waiting for
+# the answer, a VENDOR must be answered (from v1) while that client is
+# still waiting, i.e. while the census runs.
+"$BUILD/tools/lfp_query" --socket "$SOCK" trigger > "$TRIGGER_OUT" &
+TRIGGER_PID=$!
+for _ in $(seq 1 2000); do
+    state=$(ps -o stat= -p "$TRIGGER_PID" 2>/dev/null) || break
+    [[ "$state" == S* || "$state" == Z* ]] && break
+done
+vendor_answer=$(Q vendor "$first_ip")
+if ! running "$TRIGGER_PID"; then
+    echo "serve-smoke FAILED: VENDOR was answered only after the TRIGGER census ended"
+    exit 1
+fi
+[[ "$vendor_answer" == "OK version=1 ip=$first_ip "* ]] || {
+    echo "serve-smoke FAILED: VENDOR during the census: $vendor_answer"; exit 1; }
+wait "$TRIGGER_PID" || { echo "serve-smoke FAILED: TRIGGER: $(cat "$TRIGGER_OUT")"; exit 1; }
+grep -qx 'OK version=2' "$TRIGGER_OUT" || {
+    echo "serve-smoke FAILED: TRIGGER: $(cat "$TRIGGER_OUT")"; exit 1; }
+echo "serve-smoke: VENDOR answered from v1 while the TRIGGER census ran"
 diff_answer=$(Q diff 1 2)
 [[ "$diff_answer" == OK\ from=1\ to=2* ]] || {
     echo "serve-smoke FAILED: DIFF 1 2: $diff_answer"; exit 1; }
